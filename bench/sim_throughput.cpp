@@ -9,10 +9,13 @@
 // speedup of the incremental path is measured in-tree.
 #include <benchmark/benchmark.h>
 
+#include "mpath/gpusim/runtime.hpp"
 #include "mpath/sim/fluid.hpp"
 #include "mpath/sim/sync.hpp"
+#include "mpath/topo/system.hpp"
 
 namespace ms = mpath::sim;
+namespace mg = mpath::gpusim;
 
 namespace {
 
@@ -50,6 +53,60 @@ static void BM_CoroutineSpawnJoin(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_CoroutineSpawnJoin)->Arg(1000)->Arg(10000);
+
+// k callbacks due at one instant, each scheduling a zero-delay follow-up:
+// the originals come off the timed heap, the follow-ups run through the
+// same-instant lane. items_per_second counts both.
+static void BM_SameInstantEvents(benchmark::State& state) {
+  const int k = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    ms::Engine engine;
+    for (int i = 0; i < k; ++i) {
+      engine.schedule_callback(1.0, [&engine] { engine.defer([] {}); });
+    }
+    benchmark::DoNotOptimize(engine.run());
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * state.range(0));
+}
+BENCHMARK(BM_SameInstantEvents)->Arg(1000)->Arg(100000);
+
+// Stream-op churn on Beluga: each of 4 streams copies 1 MiB to the next
+// GPU, records an event, and the next stream waits on it — 64 rounds per
+// iteration, every op handle dropped at enqueue. One engine and runtime
+// serve all iterations, so pools stay warm. items_per_second == stream
+// ops per second.
+static void BM_StreamOpChurn(benchmark::State& state) {
+  const mpath::topo::System sys = mpath::topo::make_beluga();
+  ms::Engine engine;
+  ms::FluidNetwork net(engine);
+  mg::GpuRuntime rt(sys, engine, net);
+  const auto gpus = sys.topology.gpus();
+  const std::size_t n = gpus.size();
+  constexpr std::size_t kBytes = 1 << 20;
+  std::vector<mg::DeviceBuffer> bufs;
+  std::vector<mg::StreamId> streams;
+  std::vector<mg::EventId> events;
+  for (std::size_t i = 0; i < n; ++i) {
+    bufs.emplace_back(gpus[i], kBytes, mg::Payload::Simulated);
+    streams.push_back(rt.create_stream(gpus[i]));
+    events.push_back(rt.create_event());
+  }
+  const std::uint64_t ops_before = rt.ops_issued();
+  for (auto _ : state) {
+    for (int round = 0; round < 64; ++round) {
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::size_t next = (i + 1) % n;
+        rt.memcpy_async(bufs[next], 0, bufs[i], 0, kBytes, streams[i]);
+        rt.record_event(events[i], streams[i]);
+        rt.wait_event(streams[next], events[i]);
+      }
+    }
+    benchmark::DoNotOptimize(engine.run());
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(rt.ops_issued() - ops_before));
+}
+BENCHMARK(BM_StreamOpChurn);
 
 // Long-lived concurrent flows over a small ring of shared links: measures
 // the steady-state cost of completions re-solving rates.

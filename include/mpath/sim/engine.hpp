@@ -5,11 +5,22 @@
 // OSU-style bandwidth sweep executes deterministically in milliseconds of
 // wall time.
 //
-// The hot path is allocation-free in steady state: events are a compact
-// 16-byte {time, seq|slot} binary heap over a recycled slab of payloads
-// (coroutine handle or inline-storage callback — no std::function), and
-// spawned-process state comes from an intrusive free-list slab instead of
-// make_shared. See DESIGN.md, "Allocation & pooling".
+// Events run in (time, push order). The hot path is allocation-free in
+// steady state:
+//   * Events for a later instant go to a compact 16-byte {time, seq|slot}
+//     binary heap over a recycled slab of payloads (coroutine handle or
+//     inline-storage callback — no std::function).
+//   * Events for the current instant (spawn starts, latch wakes, defer,
+//     zero delays) skip the heap: they append to a FIFO lane. A heap entry
+//     due now was pushed before the clock reached now, so it runs before
+//     every lane entry — the same order a single (time, seq) heap gives.
+//   * Every root coroutine keeps its own record (name, failure, links) in
+//     its frame, on an intrusive live list in spawn order, and frees itself
+//     when it finishes. Only a failure nobody has observed stays behind
+//     for run() to report. Roots started with launch() carry no join state
+//     at all; spawn() adds a pooled joinable ProcState.
+// See DESIGN.md, "Solver complexity & event batching" and "Allocation &
+// pooling".
 #pragma once
 
 #include <coroutine>
@@ -104,6 +115,7 @@ class Latch {
 namespace detail {
 
 struct ProcSlab;
+struct RootPromise;
 
 /// Completion state of a spawned process. Pool-recycled: lives in a
 /// ProcSlab and is handed back when the last ProcRef drops.
@@ -187,7 +199,8 @@ class ProcRef {
 }  // namespace detail
 
 /// Handle to a detached coroutine started with Engine::spawn. Join is
-/// optional; unjoined failures surface at the end of Engine::run().
+/// optional; unjoined failures surface at the end of Engine::run(). A
+/// Process may outlive its engine: it then reads as not done.
 class Process {
  public:
   Process() = default;
@@ -236,9 +249,9 @@ class Engine {
   /// Invoke `fn` at absolute simulated time `t` (>= now).
   void schedule_callback(Time t, EventFn fn);
   /// Same-time batching: invoke `fn` at the *current* timestamp, after
-  /// every event already queued at this time (FIFO by sequence) but before
-  /// any event queued afterwards. Lets modules coalesce a burst of
-  /// same-time updates (e.g. k chunk completions) into one pass.
+  /// every event already queued at this time (FIFO) but before any event
+  /// queued afterwards. Lets modules coalesce a burst of same-time updates
+  /// (e.g. k chunk completions) into one pass.
   void defer(EventFn fn);
 
   struct DelayAwaiter {
@@ -260,9 +273,14 @@ class Engine {
     return DelayAwaiter{this, now_ + dt};
   }
 
-  /// Start a detached coroutine. The engine owns its frame until it
-  /// completes. `name` is used in error reports only.
+  /// Start a detached coroutine and return a joinable handle to it. The
+  /// engine owns its frame until it completes. `name` is used in error
+  /// reports only.
   Process spawn(Task<void> task, std::string name = {});
+  /// Start a detached coroutine that nobody joins: no completion state is
+  /// allocated. It counts as live, a deadlock report can name it, and an
+  /// exception it throws surfaces from run() as a SimError.
+  void launch(Task<void> task, std::string name = {});
 
   /// Run until the event queue drains. Returns the number of events
   /// processed. Throws SimError if live processes remain blocked (deadlock)
@@ -274,8 +292,12 @@ class Engine {
   /// min(t_limit, last event time). Returns events processed.
   std::uint64_t run_until(Time t_limit);
 
+  /// Roots (spawned or launched) that have not finished yet.
   [[nodiscard]] std::size_t live_process_count() const { return live_roots_; }
-  [[nodiscard]] std::size_t queued_event_count() const { return heap_.size(); }
+  /// Pending events: the timed heap plus the same-instant lane.
+  [[nodiscard]] std::size_t queued_event_count() const {
+    return heap_.size() + lane_count_;
+  }
 
   /// Emit "event_queue_depth" counter samples on tracer track "engine",
   /// one every `sample_stride` processed events (nullptr detaches).
@@ -309,27 +331,41 @@ class Engine {
     std::coroutine_handle<> handle;  // set for handle events
     EventFn callback;                // set for callback events
   };
-  struct Root {
-    Task<void> task;
-    detail::ProcRef state;
-    std::string name;
+  /// Same-instant lane entry: a coroutine handle is stored directly, a
+  /// callback through a payload slot.
+  struct LaneEntry {
+    std::coroutine_handle<> handle;
+    std::uint32_t slot;
   };
 
+  friend struct detail::RootPromise;
+
   void push_event(Time t, std::coroutine_handle<> h, EventFn fn);
+  void push_lane(LaneEntry entry);
+  void dispatch(std::coroutine_handle<> h, std::uint32_t slot);
   std::uint64_t run_impl(Time t_limit, bool bounded);
-  void sweep_completed_roots();
-  void check_quiescence() const;
+  void start_root(Task<void> task, std::string name, detail::ProcState* state);
+  /// Called from a root's final suspend; returns true when the root must
+  /// stay linked (its failure has not been observed yet).
+  bool finish_root(detail::RootPromise& root) noexcept;
+  void unlink_root(detail::RootPromise& root) noexcept;
+  void check_quiescence();
 
   [[no_unique_address]] ThreadOwner owner_;
   std::vector<HeapEntry> heap_;
   std::vector<EventSlot> slots_;
   std::vector<std::uint32_t> free_slots_;
-  std::vector<Root> roots_;
+  std::vector<LaneEntry> lane_;  ///< ring buffer, power-of-two size
+  std::size_t lane_head_ = 0;
+  std::size_t lane_count_ = 0;
+  // Intrusive list, in spawn order, of roots that are still running or
+  // whose failure is not yet reported.
+  detail::RootPromise* first_root_ = nullptr;
+  detail::RootPromise* last_root_ = nullptr;
   detail::ProcSlab* proc_slab_ = nullptr;
   Time now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   std::size_t live_roots_ = 0;
-  std::size_t sweep_watermark_ = 1024;
   Tracer* tracer_ = nullptr;
   std::uint64_t trace_stride_ = 256;
   std::uint64_t trace_countdown_ = 256;

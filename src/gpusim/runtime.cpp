@@ -89,7 +89,9 @@ void GpuRuntime::enqueue(StreamId stream, MakeOp&& make_op) {
   MPATH_ASSERT_OWNER(owner_, "gpusim::GpuRuntime (stream enqueue)");
   Stream& s = streams_.at(stream);
   auto done = sim::make_pooled<sim::Latch>(*engine_);
-  engine_->spawn(make_op(s.tail, done), "gpusim-op");
+  // Nobody joins a stream op (successors wait on its latch), so it starts
+  // without join state.
+  engine_->launch(make_op(s.tail, done), "gpusim-op");
   s.tail = std::move(done);
   ++ops_issued_;
   if (tracer_ != nullptr && --ops_until_sample_ == 0) {

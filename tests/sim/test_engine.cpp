@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
 #include <limits>
+#include <memory>
+#include <queue>
 #include <stdexcept>
+#include <string>
+#include <tuple>
 #include <vector>
 
 namespace ms = mpath::sim;
@@ -256,7 +262,7 @@ TEST(Engine, WhenAllPropagatesFirstError) {
 
 TEST(Engine, ManySpawnsSweepCleanly) {
   ms::Engine e;
-  // More processes than the sweep threshold to exercise root reclamation.
+  // Many short-lived roots: each frees itself when it finishes.
   std::vector<double> log;
   for (int i = 0; i < 10000; ++i) {
     e.spawn([](ms::Engine& eng) -> ms::Task<void> {
@@ -323,4 +329,301 @@ TEST(Engine, DelayRejectsNegativeAndNaN) {
   // Zero and positive delays are fine.
   EXPECT_NO_THROW((void)e.delay(0.0));
   EXPECT_NO_THROW((void)e.delay(1.0));
+}
+
+// --- same-instant lane --------------------------------------------------
+
+TEST(Engine, TimedEventDueNowRunsBeforeZeroDelayEventsPushedAtThatTime) {
+  ms::Engine e;
+  std::vector<int> order;
+  e.schedule_callback(1.0, [&] {
+    order.push_back(1);
+    e.defer([&] { order.push_back(4); });
+    e.schedule_callback(e.now(), [&] { order.push_back(5); });
+  });
+  // Queued at t=0 for t=1: runs before both zero-delay events above.
+  e.schedule_callback(1.0, [&] { order.push_back(2); });
+  e.spawn([](ms::Engine& eng, std::vector<int>& ord) -> ms::Task<void> {
+    co_await eng.delay(1.0);
+    ord.push_back(3);
+    co_await eng.delay(0.0);
+    ord.push_back(6);
+  }(e, order));
+  e.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5, 6}));
+}
+
+TEST(Engine, ZeroDelayEventsRunFifoIncludingOnesPushedByLaneEvents) {
+  ms::Engine e;
+  std::vector<int> order;
+  // 100 same-instant events, each pushing a follow-up: enough to grow the
+  // lane while its head has wrapped.
+  for (int i = 0; i < 100; ++i) {
+    e.schedule_callback(0.0, [&e, &order, i] {
+      order.push_back(i);
+      e.defer([&order, i] { order.push_back(1000 + i); });
+    });
+  }
+  e.run();
+  ASSERT_EQ(order.size(), 200u);
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
+    EXPECT_EQ(order[static_cast<std::size_t>(100 + i)], 1000 + i);
+  }
+  EXPECT_DOUBLE_EQ(e.now(), 0.0);
+}
+
+namespace {
+
+// Each event logs its id and schedules 1-2 children at a delay drawn from
+// {0, 0, 0, 0.25, 1}; child ids are handed out in scheduling order, so any
+// difference in run order shows up in the log.
+struct Script {
+  static constexpr int kMaxEvents = 3000;
+  int next_id = 0;
+  std::vector<int> log;
+
+  static std::uint64_t mix(std::uint64_t x) {
+    x += 0x9e3779b97f4a7c15ull;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+    return x ^ (x >> 31);
+  }
+  template <typename Push>
+  void run_event(int id, double now, Push&& push) {
+    log.push_back(id);
+    const std::uint64_t h = mix(static_cast<std::uint64_t>(id));
+    const int children = h % 4 == 0 ? 2 : 1;
+    static constexpr double kDelays[] = {0.0, 0.0, 0.0, 0.25, 1.0};
+    for (int c = 0; c < children && next_id < kMaxEvents; ++c) {
+      push(now + kDelays[(h >> (8 * (c + 1))) % 5], next_id++);
+    }
+  }
+};
+
+}  // namespace
+
+TEST(Engine, RunOrderMatchesSingleTimeSeqHeap) {
+  // Reference: one (time, seq) min-heap, the order before the lane split.
+  Script ref;
+  {
+    using Ev = std::tuple<double, std::uint64_t, int>;
+    std::priority_queue<Ev, std::vector<Ev>, std::greater<>> q;
+    std::uint64_t seq = 0;
+    auto push = [&](double t, int id) { q.emplace(t, seq++, id); };
+    for (int i = 0; i < 8; ++i) push(0.25 * (i % 3), ref.next_id++);
+    while (!q.empty()) {
+      const auto [t, s, id] = q.top();
+      q.pop();
+      ref.run_event(id, t, push);
+    }
+  }
+  Script got;
+  ms::Engine e;
+  struct Push {
+    ms::Engine* e;
+    Script* script;
+    void operator()(double t, int id) const {
+      e->schedule_callback(t, [p = *this, id] {
+        p.script->run_event(id, p.e->now(), p);
+      });
+    }
+  };
+  const Push push{&e, &got};
+  for (int i = 0; i < 8; ++i) push(0.25 * (i % 3), got.next_id++);
+  e.run();
+  ASSERT_GT(ref.log.size(), 1000u);
+  EXPECT_EQ(got.log, ref.log);
+}
+
+TEST(Engine, RunUntilRunsLaneEventsAtLimitAndStopsBeforeLaterOnes) {
+  ms::Engine e;
+  std::vector<std::string> log;
+  e.schedule_callback(2.0, [&] {
+    log.push_back("a");
+    e.defer([&] {
+      log.push_back("b");
+      e.schedule_callback(e.now(), [&] { log.push_back("c"); });
+      e.schedule_callback(e.now() + 1.0, [&] { log.push_back("late"); });
+    });
+  });
+  e.run_until(2.0);
+  EXPECT_EQ(log, (std::vector<std::string>{"a", "b", "c"}));
+  EXPECT_DOUBLE_EQ(e.now(), 2.0);
+  EXPECT_EQ(e.queued_event_count(), 1u);
+  // A limit behind the clock is a no-op, even with same-instant work
+  // pending: nothing runs and the clock stays put.
+  e.defer([&] { log.push_back("d"); });
+  e.run_until(1.0);
+  EXPECT_EQ(log.size(), 3u);
+  EXPECT_DOUBLE_EQ(e.now(), 2.0);
+  EXPECT_EQ(e.queued_event_count(), 2u);
+  e.run();
+  EXPECT_EQ(log, (std::vector<std::string>{"a", "b", "c", "d", "late"}));
+  EXPECT_DOUBLE_EQ(e.now(), 3.0);
+}
+
+TEST(Engine, QueuedEventCountCountsHeapAndLane) {
+  ms::Engine e;
+  EXPECT_EQ(e.queued_event_count(), 0u);
+  e.schedule_callback(1.0, [] {});  // heap
+  e.schedule_callback(0.0, [] {});  // lane
+  e.spawn([](ms::Engine& eng) -> ms::Task<void> {
+    co_await eng.delay(2.0);
+  }(e));  // lane (start)
+  EXPECT_EQ(e.queued_event_count(), 3u);
+  std::size_t seen = 0;
+  e.schedule_callback(1.5, [&] {
+    e.defer([] {});
+    // Pending: this defer and the spawned root's wake at t=2.
+    seen = e.queued_event_count();
+  });
+  e.run();
+  EXPECT_EQ(seen, 2u);
+  EXPECT_EQ(e.queued_event_count(), 0u);
+}
+
+// --- root records ---------------------------------------------------------
+
+TEST(Engine, LiveProcessCountIsExactMidRun) {
+  ms::Engine e;
+  auto sleeper = [](ms::Engine& eng, double dt) -> ms::Task<void> {
+    co_await eng.delay(dt);
+  };
+  e.spawn(sleeper(e, 1.0));
+  e.spawn(sleeper(e, 2.0));
+  e.launch(sleeper(e, 1.5), "op");
+  e.spawn(sleeper(e, 3.0));
+  EXPECT_EQ(e.live_process_count(), 4u);
+  std::vector<std::size_t> seen;
+  for (double t : {0.5, 1.25, 1.75, 2.5}) {
+    e.schedule_callback(t, [&] { seen.push_back(e.live_process_count()); });
+  }
+  e.run();
+  EXPECT_EQ(seen, (std::vector<std::size_t>{4, 3, 2, 1}));
+  EXPECT_EQ(e.live_process_count(), 0u);
+}
+
+TEST(Engine, DeadlockNamesFirstBlockedRootIncludingLaunchedOps) {
+  ms::Engine e;
+  auto latch = std::make_unique<ms::Latch>(e);
+  auto waiter = [](ms::Latch& l) -> ms::Task<void> { co_await l.wait(); };
+  e.spawn([](ms::Engine& eng) -> ms::Task<void> {
+    co_await eng.delay(1.0);
+  }(e), "finishes");
+  e.launch(waiter(*latch), "stuck-op");
+  e.spawn(waiter(*latch), "stuck-proc");
+  try {
+    e.run();
+    FAIL() << "expected a deadlock report";
+  } catch (const ms::SimError& err) {
+    const std::string what = err.what();
+    EXPECT_NE(what.find("2 process(es) still blocked"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("(first: stuck-op)"), std::string::npos) << what;
+  }
+  EXPECT_EQ(e.live_process_count(), 2u);
+}
+
+TEST(Engine, LaunchedOpFailureSurfacesFromRunNamingIt) {
+  ms::Engine e;
+  e.launch([](ms::Engine& eng) -> ms::Task<void> {
+    co_await eng.delay(1.0);
+    throw std::runtime_error("op exploded");
+  }(e), "bad-op");
+  try {
+    e.run();
+    FAIL() << "expected the op's failure";
+  } catch (const ms::SimError& err) {
+    const std::string what = err.what();
+    EXPECT_NE(what.find("'bad-op'"), std::string::npos) << what;
+    EXPECT_NE(what.find("op exploded"), std::string::npos) << what;
+  }
+  EXPECT_EQ(e.live_process_count(), 0u);
+}
+
+TEST(Engine, FailureObservedByALaterJoinIsNotReported) {
+  ms::Engine e;
+  auto failing = e.spawn([](ms::Engine& eng) -> ms::Task<void> {
+    co_await eng.delay(1.0);
+    throw std::runtime_error("seen later");
+  }(e), "fails-first");
+  bool caught = false;
+  // Joins only after the failed process finished.
+  e.spawn([](ms::Engine& eng, ms::Process p, bool& flag) -> ms::Task<void> {
+    co_await eng.delay(5.0);
+    try {
+      co_await p.join();
+    } catch (const std::runtime_error&) {
+      flag = true;
+    }
+  }(e, failing, caught), "late-joiner");
+  EXPECT_NO_THROW(e.run());
+  EXPECT_TRUE(caught);
+}
+
+namespace {
+
+// Counts live coroutine frames: one guard per frame, destroyed with it.
+struct FrameGuard {
+  int* live;
+  explicit FrameGuard(int& n) : live(&n) { ++*live; }
+  FrameGuard(const FrameGuard&) = delete;
+  FrameGuard& operator=(const FrameGuard&) = delete;
+  ~FrameGuard() { --*live; }
+};
+
+ms::Task<void> guarded_wait(ms::Latch& l, int& live) {
+  FrameGuard guard(live);
+  co_await l.wait();
+}
+
+ms::Task<void> guarded_sleep(ms::Engine& e, double dt, int& live) {
+  FrameGuard guard(live);
+  co_await e.delay(dt);
+}
+
+}  // namespace
+
+TEST(Engine, DestroyingEngineFreesSuspendedRootsOfBothKinds) {
+  int live = 0;
+  {
+    ms::Engine e;
+    ms::Latch gate(e);
+    e.spawn(guarded_wait(gate, live), "joinable-waiter");
+    e.launch(guarded_wait(gate, live), "op-waiter");
+    e.spawn(guarded_sleep(e, 10.0, live), "joinable-sleeper");
+    e.launch(guarded_sleep(e, 10.0, live), "op-sleeper");
+    e.launch(guarded_sleep(e, 0.5, live), "op-done");
+    e.run_until(1.0);
+    EXPECT_EQ(live, 4);
+    EXPECT_EQ(e.live_process_count(), 4u);
+  }
+  EXPECT_EQ(live, 0);
+}
+
+TEST(Engine, ProcessOutlivesItsEngine) {
+  ms::Process finished;
+  ms::Process blocked;
+  {
+    ms::Engine e;
+    ms::Latch gate(e);
+    finished = e.spawn([](ms::Engine& eng) -> ms::Task<void> {
+      co_await eng.delay(1.0);
+    }(e));
+    blocked = e.spawn([](ms::Latch& l) -> ms::Task<void> {
+      co_await l.wait();
+    }(gate));
+    e.schedule_callback(10.0, [] {});  // keeps run_until from draining
+    e.run_until(2.0);
+    EXPECT_TRUE(finished.done());
+  }
+  EXPECT_TRUE(finished.valid());
+  EXPECT_TRUE(finished.done());
+  EXPECT_TRUE(blocked.valid());
+  EXPECT_FALSE(blocked.done());
+  // The last handle frees the orphaned state slab.
+  finished = ms::Process();
+  blocked = ms::Process();
+  EXPECT_FALSE(blocked.valid());
 }
