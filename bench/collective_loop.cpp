@@ -7,9 +7,9 @@
 // iteration is one World::run, wall-clocked on the host. Iteration 0 pays
 // capture: per-step theta solves + path configuration + template
 // compilation at seal. Steady iterations replay the sealed chain — index
-// lookup + op walk, zero solves. The bench fails (exit 1) unless the mean
-// steady-state iteration costs at most 10% of the capture iteration for
-// every collective.
+// lookup + template replay, zero solves. The bench fails (exit 1) unless
+// the mean steady-state iteration costs at most 10% of the capture
+// iteration for every collective.
 //
 // Part 2 (identity gate, hard): the same loops re-run with chaining off on
 // an identically seeded stack; the per-iteration simulated completion

@@ -5,11 +5,12 @@
 // traffic). The CalibrationStore closes that gap without perturbing the
 // paper-faithful arithmetic: it holds immutable snapshots of per-path
 // multiplicative corrections {alpha_scale, beta_scale}, published
-// copy-on-write under a writer mutex while readers take an atomic
-// reference-counted copy of the current snapshot pointer. A monotonically
-// increasing version number travels with every snapshot so configuration
-// caches can stamp entries and invalidate them on publication instead of
-// being flushed.
+// copy-on-write under a writer mutex while readers copy the current
+// reference-counted snapshot pointer under a short pointer lock. A
+// monotonically increasing version number travels with every snapshot so
+// configuration caches can stamp entries and invalidate them on
+// publication instead of being flushed; the current version is also kept
+// in a lock-free atomic, because those caches read it per transfer.
 //
 // A path with no entry in the current snapshot gets *no* correction applied
 // — not a multiply by 1.0 — so an empty store is bit-identical to running
@@ -81,10 +82,13 @@ class CalibrationSnapshot {
   std::map<PathCalKey, PathCalibration> entries_;
 };
 
-/// Read-mostly store of calibration snapshots. Readers (`snapshot()`,
-/// `version()`) take an atomic copy of the current shared snapshot pointer;
-/// writers (`publish()`) serialize on a mutex, copy the current entry map,
-/// apply their updates and install the copy as version N+1. A snapshot
+/// Read-mostly store of calibration snapshots. `snapshot()` copies the
+/// current shared snapshot pointer under a pointer mutex that is only ever
+/// held for that copy or the swap; `version()` is one lock-free atomic load.
+/// Writers (`publish()`) serialize on a separate mutex, copy the current
+/// entry map, apply their updates, install the copy as version N+1, and
+/// only then store N+1 into the version atomic — so a reader that sees
+/// version v gets a snapshot of version >= v from `snapshot()`. A snapshot
 /// lives exactly as long as the store or an outstanding reader still
 /// references it, so a reader holding a snapshot across a publication never
 /// races reclamation, and superseded snapshots are reclaimed instead of
@@ -100,12 +104,13 @@ class CalibrationStore {
   /// The current snapshot. The returned pointer keeps it alive even if
   /// newer versions are published (and reclaim older ones) meanwhile.
   [[nodiscard]] SnapshotPtr snapshot() const {
-    return current_.load(std::memory_order_acquire);
+    const std::lock_guard<std::mutex> lock(current_mu_);
+    return current_;
   }
 
   /// Version of the current snapshot (0 = pristine identity store).
   [[nodiscard]] std::uint64_t version() const {
-    return current_.load(std::memory_order_acquire)->version();
+    return version_.load(std::memory_order_acquire);
   }
 
   /// Publish one updated entry. Returns the new snapshot's version.
@@ -120,13 +125,19 @@ class CalibrationStore {
   std::uint64_t publish(
       std::span<const std::pair<PathCalKey, PathCalibration>> updates) {
     const std::lock_guard<std::mutex> lock(write_mu_);
-    const SnapshotPtr cur = current_.load(std::memory_order_relaxed);
+    // Only writers replace current_, and they hold write_mu_: reading it
+    // here needs no pointer lock.
     auto next = std::make_shared<CalibrationSnapshot>();
-    next->entries_ = cur->entries_;
+    next->entries_ = current_->entries_;
     for (const auto& [key, cal] : updates) next->entries_[key] = cal;
-    next->version_ = cur->version_ + 1;
+    next->version_ = current_->version_ + 1;
     const std::uint64_t version = next->version_;
-    current_.store(std::move(next), std::memory_order_release);
+    SnapshotPtr old;  // the superseded snapshot is freed outside the lock
+    {
+      const std::lock_guard<std::mutex> swap(current_mu_);
+      old = std::exchange(current_, std::move(next));
+    }
+    version_.store(version, std::memory_order_release);
     return version;
   }
 
@@ -137,8 +148,10 @@ class CalibrationStore {
   }
 
  private:
-  mutable std::mutex write_mu_;
-  std::atomic<SnapshotPtr> current_;
+  std::mutex write_mu_;
+  mutable std::mutex current_mu_;  ///< guards current_ (copy and swap only)
+  SnapshotPtr current_;
+  std::atomic<std::uint64_t> version_{0};
 };
 
 }  // namespace mpath::model

@@ -188,15 +188,12 @@ class PathConfigurator {
 
   [[nodiscard]] const ConfiguratorOptions& options() const { return options_; }
 
+ private:
   /// FNV-1a bucket address of a request tuple (distinct tuples can collide;
-  /// callers must verify the full tuple on lookup). Public so the sharded
-  /// ConcurrentConfigurator shares the exact keying — including the
-  /// cache_key_bits collision test hook — with the serial cache.
+  /// lookups verify the full tuple).
   [[nodiscard]] std::uint64_t cache_key(
       topo::DeviceId src, topo::DeviceId dst, std::uint64_t bytes,
       std::span<const topo::PathPlan> paths) const;
-
- private:
   [[nodiscard]] TransferConfig compute(
       topo::DeviceId src, topo::DeviceId dst, std::uint64_t bytes,
       std::span<const topo::PathPlan> paths) const;

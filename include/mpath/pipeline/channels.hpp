@@ -8,6 +8,7 @@
 //     by exhaustive search (the paper's "Static Path Distribution", [35]).
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -89,7 +90,7 @@ struct ModelDrivenOptions {
   /// static — paper-faithful mode.
   model::Recalibrator* recalibrator = nullptr;
   /// Compiled-plan replay: when set, multi-path transfers consult this
-  /// template cache first. A hit replays the precompiled op list (skipping
+  /// template cache first. A hit replays the compiled template (skipping
   /// the theta solve, plan construction, and per-chunk setup); a miss
   /// compiles the fresh plan into a template for next time. Replay falls
   /// back to the uncompiled path whenever it could diverge from it: the
@@ -208,6 +209,19 @@ class ModelDrivenChannel final : public gpusim::DataChannel {
       gpusim::DeviceBuffer& dst, std::size_t dst_offset,
       const gpusim::DeviceBuffer& src, std::size_t src_offset,
       std::size_t bytes);
+  /// Fails a scheduler ticket if the transfer unwinds before departing.
+  struct ScheduleGuard;
+  /// The one tail of every planned multi-path transfer: close the plan_ns
+  /// section opened at `plan_t0`, replay `graph` (or execute `config`
+  /// uncompiled when it is null), depart `guard`'s ticket, and report
+  /// `config` with the elapsed time since `t0` to the recalibrator.
+  /// `config` is read after the transfer, so it must outlive the call.
+  [[nodiscard]] sim::Task<void> run_planned(
+      ScheduleGuard guard, std::shared_ptr<TransferGraph> graph,
+      const model::TransferConfig& config,
+      std::chrono::steady_clock::time_point plan_t0, double t0,
+      gpusim::DeviceBuffer& dst, std::size_t dst_offset,
+      const gpusim::DeviceBuffer& src, std::size_t src_offset);
 
   PipelineEngine* engine_;
   ChainController* chain_ = nullptr;

@@ -14,6 +14,11 @@
 // therefore waits on B_{c-2}), matching the three-step staging protocol of
 // Section 3.4. Each issued operation costs host time, which is what makes
 // path initiation sequential — the effect Algorithm 1 line 18 models.
+//
+// One private driver issues every transfer. It walks per-path state
+// (TransferGraph::Path): execute_monitored prepares that state for a single
+// transfer and releases it afterwards; compile_graph prepares it once and
+// replay walks it again per message.
 #pragma once
 
 #include <cstdint>
@@ -23,13 +28,12 @@
 
 #include "mpath/gpusim/runtime.hpp"
 #include "mpath/model/configurator.hpp"
+#include "mpath/pipeline/graph.hpp"
 #include "mpath/pipeline/staging.hpp"
 #include "mpath/topo/paths.hpp"
 #include "mpath/util/small_vec.hpp"
 
 namespace mpath::pipeline {
-
-class TransferGraph;
 
 /// One path's assignment inside a transfer.
 struct ExecPath {
@@ -101,26 +105,26 @@ class PipelineEngine {
       const gpusim::DeviceBuffer& src, std::size_t src_offset, ExecPlan plan,
       PathWatchList watch);
 
-  /// Compile `config` into a reusable TransferGraph template: resolve
-  /// streams, reserve events, acquire a persistent staging slot per staged
-  /// share, and flatten the chunk-op issue order. Takes no simulated time
-  /// (staging uses the non-blocking try_acquire). Returns nullptr when a
-  /// staging slot is unavailable right now — callers fall back to the
-  /// uncompiled path rather than deadlocking the pool with persistent
-  /// leases. Throws std::invalid_argument on malformed configs, mirroring
-  /// execute_monitored's validation.
+  /// Compile `config` into a reusable TransferGraph template: the same
+  /// per-path state execute_monitored prepares for one transfer (streams,
+  /// chunk tables, events, a staging slot per staged share), kept across
+  /// replays. Takes no simulated time: staging uses the non-blocking
+  /// try_acquire, and compile returns nullptr when a slot is unavailable
+  /// right now — callers fall back to the uncompiled path rather than
+  /// deadlocking the pool with persistent leases. Throws
+  /// std::invalid_argument on malformed or empty configs.
   [[nodiscard]] std::shared_ptr<TransferGraph> compile_graph(
       topo::DeviceId src_dev, topo::DeviceId dst_dev,
       const model::TransferConfig& config);
 
-  /// Execute a compiled template: one driver frame walks the precompiled op
-  /// list — no theta solve, no plan construction, no per-chunk setup. The
-  /// issued runtime-call / issue-cost sequence is identical to
-  /// execute_monitored on the equivalent plan, so completion times (and rng
-  /// draws under jitter) match the uncompiled path bit for bit. `watch`
-  /// must be empty or sized like graph->config().paths. Throws
-  /// std::logic_error if the graph is already replaying (templates are not
-  /// reentrant), std::invalid_argument on endpoint/graph mismatches.
+  /// Execute a compiled template: the issue driver behind execute_monitored
+  /// walks the template's per-path state — no theta solve, no plan
+  /// construction, no per-chunk setup — so the runtime-call / issue-cost
+  /// sequence (and the rng draws under jitter) is the uncompiled one by
+  /// construction. `watch` must be empty or sized like
+  /// graph->config().paths. Throws std::logic_error if the graph is already
+  /// replaying (templates are not reentrant), std::invalid_argument on
+  /// endpoint/graph mismatches.
   [[nodiscard]] sim::Task<TransferOutcome> replay(
       std::shared_ptr<TransferGraph> graph, gpusim::DeviceBuffer& dst,
       std::size_t dst_offset, const gpusim::DeviceBuffer& src,
@@ -142,26 +146,27 @@ class PipelineEngine {
     auto operator<=>(const StreamKey&) const = default;
   };
 
-  /// Per-path issue state prepared before the interleaved issue loop.
-  /// Per-chunk arrays are small-vectors sized for the common pipeline depth
-  /// (k <= 16); deeper pipelines spill once and the capacity is then moved
-  /// along with the PathIssue.
-  struct PathIssue {
-    ExecPath spec;
-    std::size_t offset = 0;      // within the transfer
-    std::size_t plan_index = 0;  // index into the caller's plan / watch
-    gpusim::StreamId first_stream = 0;
-    gpusim::StreamId second_stream = 0;
-    StagingPool::Lease lease;
-    util::SmallVec<gpusim::EventId, 16> fwd_events;
-    util::SmallVec<gpusim::EventId, 16> bwd_events;
-    util::SmallVec<std::size_t, 16> chunk_offsets;
-    util::SmallVec<std::size_t, 16> chunk_sizes;
-    bool staged = false;
-    bool monitored = false;
-    double extra_sync_s = 0.0;  // host-staging per-chunk penalty
-  };
+  using PathState = TransferGraph::Path;
+  using PathStates = util::SmallVec<PathState, 4>;
 
+  /// Share `index` of a plan, `offset` bytes into the message: streams,
+  /// chunk tables and the host-sync penalty. Staged paths still need
+  /// bind_staging().
+  PathState path_state(topo::DeviceId src_dev, topo::DeviceId dst_dev,
+                       std::size_t index, const topo::PathPlan& plan,
+                       std::uint64_t bytes, int chunks, std::size_t offset);
+  /// Give a staged path its double-buffered staging lease and reserve its
+  /// per-chunk forward/backward events.
+  void bind_staging(PathState& path, StagingPool::Lease lease);
+  /// The one issue driver: arm the watchdogs, issue chunk r of every path
+  /// before chunk r+1 of any, drain (staged paths first) and assemble the
+  /// outcome, parallel to a plan of `plan_size` shares. With
+  /// `release_leases` each staged lease returns to the pool the moment its
+  /// path drains; a template keeps its leases.
+  [[nodiscard]] sim::Task<TransferOutcome> drive(
+      PathStates& paths, std::size_t plan_size, gpusim::DeviceBuffer& dst,
+      std::size_t dst_offset, const gpusim::DeviceBuffer& src,
+      std::size_t src_offset, PathWatchList watch, bool release_leases);
   gpusim::StreamId stream_for(const StreamKey& key, topo::DeviceId device);
   [[nodiscard]] sim::Engine::DelayAwaiter issue_cost();
 

@@ -1,23 +1,23 @@
 // Compiled transfer graphs: build the plan once, replay it per message.
 //
 // The authors' follow-up work moves multi-path transfers into CUDA Graphs —
-// capture the chunk-op DAG once, then replay it at ~zero launch cost. This
-// mirrors that shape in the simulator: PipelineEngine::compile_graph bakes a
-// TransferConfig into a TransferGraph holding every host-side decision the
-// per-transfer path would otherwise redo (stream resolution, event
-// reservation, staging-slot acquisition, chunk splits, and the flattened
-// issue-order op list), and PipelineEngine::replay walks the precompiled op
-// list in one driver frame. A GraphCache keyed like the config cache makes
-// the steady state: lookup, replay, done — no theta solve, no plan
-// construction, no per-chunk setup.
+// capture the chunk-op DAG once, then replay it at ~zero launch cost, with
+// the captured graph *being* the execution plan. This mirrors that shape in
+// the simulator: PipelineEngine::compile_graph bakes a TransferConfig into a
+// TransferGraph holding the per-path state the engine's one issue driver
+// walks (resolved streams, reserved events, a persistent staging slot per
+// staged share, chunk tables), and PipelineEngine::replay runs that driver
+// over it. execute_monitored prepares the same state for one transfer and
+// runs the same driver, so there is no second op sequence to keep in step.
+// A GraphCache keyed like the config cache makes the steady state: lookup,
+// replay, done — no theta solve, no plan construction, no per-chunk setup.
 //
-// Replay is timing-identical to the uncompiled path by construction: the op
-// list reproduces execute_monitored's exact runtime-call/issue-cost
-// sequence (same rng draws under jitter), and compile itself takes no
-// simulated time. The one intentional divergence is resource residency —
-// a graph keeps its staging lease and events across replays — so identity
-// holds whenever the staging pool is uncontended (sized at least as large
-// as the live template + transfer count per device).
+// Replay is timing-identical to the uncompiled path by construction (same
+// driver, and compile itself takes no simulated time). The one intentional
+// divergence is resource residency — a graph keeps its staging lease and
+// events across replays — so identity holds whenever the staging pool is
+// uncontended (sized at least as large as the live template + transfer
+// count per device).
 //
 // Lifetime: a graph borrows streams/events/staging from the runtime that
 // compiled it; graphs (and any cache holding them) must be destroyed before
@@ -44,29 +44,6 @@ namespace mpath::pipeline {
 
 class PipelineEngine;
 
-/// One precompiled operation. Ops store indices, not sizes: chunk offsets
-/// and lengths live in the per-path arrays, so patching a new message size
-/// rewrites those arrays without touching the op list structure.
-struct GraphOp {
-  enum class Kind : std::uint8_t {
-    kCopyDirect,     ///< direct path: memcpy src -> dst on the first stream
-    kWaitSlot,       ///< first stream waits bwd[c-2] (staging slot reuse)
-    kCopyToStage,    ///< memcpy src -> staging slot on the first stream
-    kRecordFwd,      ///< record fwd[c] on the first stream
-    kWaitFwd,        ///< second stream waits fwd[c]
-    kStageDelay,     ///< host-staging sync delay on the second stream
-    kCopyFromStage,  ///< memcpy staging slot -> dst on the second stream
-    kRecordBwd,      ///< record bwd[c] on the second stream
-  };
-  Kind kind{};
-  /// First op of its (path, chunk) group. Replay re-checks the path's
-  /// watchdog here and nowhere else — exactly where the uncompiled issue
-  /// loop checks once per (path, round) before issuing the chunk's ops.
-  bool chunk_head = false;
-  std::uint16_t path = 0;   ///< index into TransferGraph path state
-  std::uint16_t chunk = 0;  ///< chunk index within the path
-};
-
 /// A reusable compiled transfer template for one (src, dst, bytes,
 /// candidate-path-set) tuple. Built by PipelineEngine::compile_graph;
 /// executed by PipelineEngine::replay. Default-constructed graphs are empty
@@ -74,8 +51,8 @@ struct GraphOp {
 /// them, which is what the concurrent cache tests exercise.
 class TransferGraph {
  public:
-  /// Pre-resolved per-path issue state (the compiled twin of the engine's
-  /// per-transfer PathIssue).
+  /// Per-path issue state: what PipelineEngine's issue driver walks, kept
+  /// across replays here and prepared per transfer by execute_monitored.
   struct Path {
     topo::PathPlan plan;
     std::uint64_t bytes = 0;
@@ -92,6 +69,11 @@ class TransferGraph {
     util::SmallVec<gpusim::EventId, 16> bwd_events;
     util::SmallVec<std::size_t, 16> chunk_offsets;
     util::SmallVec<std::size_t, 16> chunk_sizes;
+
+    /// Rebuild chunk_offsets/chunk_sizes from `bytes` and `chunks`: `chunks`
+    /// near-equal contiguous pieces, the first `bytes % chunks` one byte
+    /// longer (empty tables for an idle path).
+    void split_chunks();
   };
 
   TransferGraph() = default;
@@ -113,9 +95,6 @@ class TransferGraph {
   [[nodiscard]] const model::TransferConfig& config() const { return config_; }
   [[nodiscard]] std::span<const Path> paths() const {
     return {paths_.data(), paths_.size()};
-  }
-  [[nodiscard]] std::span<const GraphOp> ops() const {
-    return {ops_.data(), ops_.size()};
   }
   /// A replay of this template is currently executing. Templates are not
   /// reentrant (they share events and the staging slot); callers fall back
@@ -144,11 +123,6 @@ class TransferGraph {
  private:
   friend class PipelineEngine;
 
-  /// Rebuild chunk_offsets/chunk_sizes and the flattened op list from the
-  /// current per-path byte shares (interleaved round-robin issue order,
-  /// matching the uncompiled loop).
-  void rebuild_ops();
-
   gpusim::GpuRuntime* runtime_ = nullptr;
   topo::DeviceId src_dev_ = topo::kInvalidDevice;
   topo::DeviceId dst_dev_ = topo::kInvalidDevice;
@@ -156,7 +130,6 @@ class TransferGraph {
   std::vector<topo::PathPlan> key_paths_;
   model::TransferConfig config_;
   util::SmallVec<Path, 4> paths_;  ///< active (bytes > 0) shares only
-  std::vector<GraphOp> ops_;
   bool busy_ = false;
   std::uint64_t replays_ = 0;
   std::uint64_t capacity_epoch_ = 0;

@@ -45,16 +45,34 @@ std::span<const topo::PathPlan> small_segment_path(
   return {alive.data(), 1};
 }
 
+ExecPlan exec_plan(const model::TransferConfig& config) {
+  ExecPlan plan;
+  plan.reserve(config.paths.size());
+  for (const auto& share : config.paths) {
+    plan.push_back(ExecPath{share.plan, share.bytes, share.chunks});
+  }
+  return plan;
+}
+}  // namespace
+
 /// Marks a scheduler ticket failed if the transfer coroutine unwinds
 /// without departing cleanly, so the scheduler stops water-filling against
-/// a transfer that no longer exists.
-struct ScheduleGuard {
+/// a transfer that no longer exists. Movable, so a transfer's tail can take
+/// over the ticket.
+struct ModelDrivenChannel::ScheduleGuard {
   TransferScheduler* sched = nullptr;
   TransferScheduler::TicketId ticket = TransferScheduler::kInvalidTicket;
   bool armed = true;
   ScheduleGuard() = default;
+  ScheduleGuard(TransferScheduler* s, TransferScheduler::TicketId t)
+      : sched(s), ticket(t) {}
+  ScheduleGuard(ScheduleGuard&& o) noexcept
+      : sched(o.sched),
+        ticket(o.ticket),
+        armed(std::exchange(o.armed, false)) {}
   ScheduleGuard(const ScheduleGuard&) = delete;
   ScheduleGuard& operator=(const ScheduleGuard&) = delete;
+  ScheduleGuard& operator=(ScheduleGuard&&) = delete;
   ~ScheduleGuard() {
     if (armed && sched != nullptr &&
         ticket != TransferScheduler::kInvalidTicket) {
@@ -62,7 +80,6 @@ struct ScheduleGuard {
     }
   }
 };
-}  // namespace
 
 double escalated_slack(const RecoveryOptions& rec, int replans) {
   const double esc = std::min(std::pow(rec.retry_backoff, replans),
@@ -201,29 +218,17 @@ sim::Task<void> ModelDrivenChannel::transfer(gpusim::DeviceBuffer& dst,
     ChainController::Claim claim = chain_->claim_step(pend);
     if (claim.graph != nullptr) {
       const double t0 = engine_->runtime().engine().now();
-      ScheduleGuard guard;
-      guard.sched = scheduler_;
-      guard.ticket = claim.ticket;
       last_config_ = claim.graph->config();
       // The recalibrator needs the configuration after the replay resumes,
       // by which point last_config_ may belong to another in-flight
       // transfer — only then is a coroutine-local copy worth paying for.
       std::optional<model::TransferConfig> cfg;
       if (options_.recalibrator != nullptr) cfg = claim.graph->config();
-      graph_stats_.plan_ns += plan_ns_since(plan_t0);
-      (void)co_await engine_->replay(std::move(claim.graph), dst, dst_offset,
-                                     src, src_offset, {});
-      if (scheduler_ != nullptr &&
-          claim.ticket != TransferScheduler::kInvalidTicket) {
-        const PlanClock::time_point depart_t0 = PlanClock::now();
-        scheduler_->depart(claim.ticket);
-        graph_stats_.plan_ns += plan_ns_since(depart_t0);
-      }
-      guard.armed = false;
-      if (options_.recalibrator != nullptr) {
-        options_.recalibrator->observe(src.device(), dst.device(), *cfg,
-                                       engine_->runtime().engine().now() - t0);
-      }
+      const model::TransferConfig& planned =
+          cfg.has_value() ? *cfg : claim.graph->config();
+      co_await run_planned(ScheduleGuard(scheduler_, claim.ticket),
+                           std::move(claim.graph), planned, plan_t0, t0, dst,
+                           dst_offset, src, src_offset);
       co_return;
     }
     // Unclaimable (busy template, contended round, passthrough, or the
@@ -270,24 +275,12 @@ ModelDrivenChannel::transfer_uncaptured(gpusim::DeviceBuffer& dst,
         TransferScheduler::Admission adm = scheduler_->admit_replay(
             src.device(), dst.device(), bytes, paths, g->config());
         if (adm.ticket != TransferScheduler::kInvalidTicket) {
-          ScheduleGuard guard;
-          guard.sched = scheduler_;
-          guard.ticket = adm.ticket;
+          ScheduleGuard guard(scheduler_, adm.ticket);
           model::TransferConfig cfg = std::move(adm.config);
           last_config_ = cfg;
           ++graph_stats_.replays;
-          graph_stats_.plan_ns += plan_ns_since(u_t0);
-          (void)co_await engine_->replay(std::move(g), dst, dst_offset, src,
-                                         src_offset, {});
-          const PlanClock::time_point d_t0 = PlanClock::now();
-          scheduler_->depart(adm.ticket);
-          graph_stats_.plan_ns += plan_ns_since(d_t0);
-          guard.armed = false;
-          if (options_.recalibrator != nullptr) {
-            options_.recalibrator->observe(
-                src.device(), dst.device(), cfg,
-                engine_->runtime().engine().now() - t0);
-          }
+          co_await run_planned(std::move(guard), std::move(g), cfg, u_t0, t0,
+                               dst, dst_offset, src, src_offset);
           co_return UncapturedOutcome{true, std::move(cfg)};
         }
         ++graph_stats_.contended_rejects;
@@ -295,101 +288,74 @@ ModelDrivenChannel::transfer_uncaptured(gpusim::DeviceBuffer& dst,
     }
     TransferScheduler::Admission adm =
         scheduler_->admit(src.device(), dst.device(), bytes, paths);
-    ScheduleGuard guard;
-    guard.sched = scheduler_;
-    guard.ticket = adm.ticket;
+    ScheduleGuard guard(scheduler_, adm.ticket);
     // Only uncontended admissions compile: their split is reproducible, so
     // a later admit_replay can register the identical ledger entry.
+    std::shared_ptr<TransferGraph> g;
     if (options_.graphs != nullptr && adm.uncontended) {
-      if (auto g = compile_template(src.device(), dst.device(), adm.config)) {
-        model::TransferConfig cfg = std::move(adm.config);
-        last_config_ = cfg;
-        ++graph_stats_.replays_fresh;
-        graph_stats_.plan_ns += plan_ns_since(u_t0);
-        (void)co_await engine_->replay(std::move(g), dst, dst_offset, src,
-                                       src_offset, {});
-        const PlanClock::time_point d_t0 = PlanClock::now();
-        scheduler_->depart(adm.ticket);
-        graph_stats_.plan_ns += plan_ns_since(d_t0);
-        guard.armed = false;
-        if (options_.recalibrator != nullptr) {
-          options_.recalibrator->observe(
-              src.device(), dst.device(), cfg,
-              engine_->runtime().engine().now() - t0);
-        }
-        co_return UncapturedOutcome{true, std::move(cfg)};
-      }
-    }
-    const bool uncontended = adm.uncontended;
-    model::TransferConfig cfg = std::move(adm.config);
-    ExecPlan plan;
-    plan.reserve(cfg.paths.size());
-    for (const auto& share : cfg.paths) {
-      plan.push_back(ExecPath{share.plan, share.bytes, share.chunks});
-    }
-    last_config_ = cfg;
-    graph_stats_.plan_ns += plan_ns_since(u_t0);
-    co_await engine_->execute(dst, dst_offset, src, src_offset,
-                              std::move(plan));
-    const PlanClock::time_point d_t0 = PlanClock::now();
-    scheduler_->depart(adm.ticket);
-    graph_stats_.plan_ns += plan_ns_since(d_t0);
-    guard.armed = false;
-    if (options_.recalibrator != nullptr) {
-      options_.recalibrator->observe(src.device(), dst.device(), cfg,
-                                     engine_->runtime().engine().now() - t0);
+      g = compile_template(src.device(), dst.device(), adm.config);
+      if (g != nullptr) ++graph_stats_.replays_fresh;
     }
     // An uncontended joint solve is the solo configuration — reproducible;
     // a contended one depends on the live flows at this exact instant.
+    const bool uncontended = adm.uncontended;
+    model::TransferConfig cfg = std::move(adm.config);
+    last_config_ = cfg;
+    co_await run_planned(std::move(guard), std::move(g), cfg, u_t0, t0, dst,
+                         dst_offset, src, src_offset);
     co_return UncapturedOutcome{uncontended, std::move(cfg)};
   }
+  std::shared_ptr<TransferGraph> g;
+  model::TransferConfig cfg;
   if (options_.graphs != nullptr) {
-    if (auto g = find_replayable(src.device(), dst.device(), bytes, paths)) {
-      model::TransferConfig cfg = g->config();
-      last_config_ = cfg;
+    g = find_replayable(src.device(), dst.device(), bytes, paths);
+    if (g != nullptr) {
+      cfg = g->config();
       ++graph_stats_.replays;
-      graph_stats_.plan_ns += plan_ns_since(u_t0);
-      (void)co_await engine_->replay(std::move(g), dst, dst_offset, src,
-                                     src_offset, {});
-      if (options_.recalibrator != nullptr) {
-        options_.recalibrator->observe(src.device(), dst.device(), cfg,
-                                       engine_->runtime().engine().now() - t0);
-      }
-      co_return UncapturedOutcome{true, std::move(cfg)};
     }
   }
-  // Copy out of the configurator's cache: an LRU eviction during the
-  // transfer below must not invalidate what we executed (or report).
-  model::TransferConfig cfg =
-      configurator_->configure(src.device(), dst.device(), bytes, paths);
+  if (g == nullptr) {
+    // Copy out of the configurator's cache: an LRU eviction during the
+    // transfer below must not invalidate what we executed (or report).
+    cfg = configurator_->configure(src.device(), dst.device(), bytes, paths);
+    if (options_.graphs != nullptr) {
+      g = compile_template(src.device(), dst.device(), cfg);
+      if (g != nullptr) ++graph_stats_.replays_fresh;
+    }
+  }
   last_config_ = cfg;
-  if (options_.graphs != nullptr) {
-    if (auto g = compile_template(src.device(), dst.device(), cfg)) {
-      ++graph_stats_.replays_fresh;
-      graph_stats_.plan_ns += plan_ns_since(u_t0);
-      (void)co_await engine_->replay(std::move(g), dst, dst_offset, src,
-                                     src_offset, {});
-      if (options_.recalibrator != nullptr) {
-        options_.recalibrator->observe(src.device(), dst.device(), cfg,
-                                       engine_->runtime().engine().now() - t0);
-      }
-      co_return UncapturedOutcome{true, std::move(cfg)};
-    }
+  co_await run_planned(ScheduleGuard(), std::move(g), cfg, u_t0, t0, dst,
+                       dst_offset, src, src_offset);
+  // Solo configuration (or its template): deterministic given calibration.
+  co_return UncapturedOutcome{true, std::move(cfg)};
+}
+
+sim::Task<void> ModelDrivenChannel::run_planned(
+    ScheduleGuard guard, std::shared_ptr<TransferGraph> graph,
+    const model::TransferConfig& config, PlanClock::time_point plan_t0,
+    double t0, gpusim::DeviceBuffer& dst, std::size_t dst_offset,
+    const gpusim::DeviceBuffer& src, std::size_t src_offset) {
+  if (graph != nullptr) {
+    graph_stats_.plan_ns += plan_ns_since(plan_t0);
+    (void)co_await engine_->replay(std::move(graph), dst, dst_offset, src,
+                                   src_offset, {});
+  } else {
+    ExecPlan plan = exec_plan(config);
+    graph_stats_.plan_ns += plan_ns_since(plan_t0);
+    co_await engine_->execute(dst, dst_offset, src, src_offset,
+                              std::move(plan));
   }
-  ExecPlan plan;
-  plan.reserve(cfg.paths.size());
-  for (const auto& share : cfg.paths) {
-    plan.push_back(ExecPath{share.plan, share.bytes, share.chunks});
+  if (guard.sched != nullptr &&
+      guard.ticket != TransferScheduler::kInvalidTicket) {
+    const PlanClock::time_point depart_t0 = PlanClock::now();
+    guard.sched->depart(guard.ticket);
+    graph_stats_.plan_ns += plan_ns_since(depart_t0);
   }
-  graph_stats_.plan_ns += plan_ns_since(u_t0);
-  co_await engine_->execute(dst, dst_offset, src, src_offset,
-                            std::move(plan));
+  guard.armed = false;
   if (options_.recalibrator != nullptr) {
-    options_.recalibrator->observe(src.device(), dst.device(), cfg,
+    options_.recalibrator->observe(src.device(), dst.device(), config,
                                    engine_->runtime().engine().now() - t0);
   }
-  // Solo configuration: deterministic given calibration.
-  co_return UncapturedOutcome{true, std::move(cfg)};
 }
 
 sim::Task<void> ModelDrivenChannel::transfer_with_recovery(
@@ -522,7 +488,7 @@ sim::Task<void> ModelDrivenChannel::transfer_with_recovery(
     if (graph == nullptr) plan.reserve(config.paths.size());
     watch.reserve(config.paths.size());
     for (const auto& share : config.paths) {
-      // A replayed template carries its own precompiled plan; only the
+      // A replayed template carries its own compiled plan; only the
       // watchdog deadlines are built per attempt (identically either way).
       if (graph == nullptr) {
         plan.push_back(ExecPath{share.plan, share.bytes, share.chunks});

@@ -1,8 +1,6 @@
 #include "mpath/pipeline/engine.hpp"
 
 #include <algorithm>
-
-#include "mpath/pipeline/graph.hpp"
 #include <cstring>
 #include <limits>
 #include <memory>
@@ -67,6 +65,36 @@ struct MonitorState {
   }
 };
 
+void check_watch(const PathWatchList& watch, std::size_t plan_size) {
+  if (!watch.empty() && watch.size() != plan_size) {
+    throw std::invalid_argument(
+        "PipelineEngine: watch must be empty or match the plan size");
+  }
+}
+
+// Validate every share of a plan (ExecPath or model::PathShare) before
+// anything is issued or reserved, and return the byte total. The sum is
+// overflow-checked so a wrapped total cannot slip past the region bounds
+// check and then throw mid-issuance.
+template <typename Shares>
+std::uint64_t checked_total(const Shares& shares) {
+  std::uint64_t total = 0;
+  for (const auto& s : shares) {
+    if (s.chunks < 1) {
+      throw std::invalid_argument("PipelineEngine: chunks must be >= 1");
+    }
+    if (s.plan.kind != topo::PathKind::Direct &&
+        s.plan.stage == topo::kInvalidDevice) {
+      throw std::invalid_argument("PipelineEngine: staged path without stage");
+    }
+    if (s.bytes > std::numeric_limits<std::uint64_t>::max() - total) {
+      throw std::invalid_argument("PipelineEngine: plan byte total overflows");
+    }
+    total += s.bytes;
+  }
+  return total;
+}
+
 }  // namespace
 
 PipelineEngine::PipelineEngine(gpusim::GpuRuntime& runtime,
@@ -104,276 +132,93 @@ sim::Task<void> PipelineEngine::execute(gpusim::DeviceBuffer& dst,
                                    std::move(plan), {});
 }
 
+PipelineEngine::PathState PipelineEngine::path_state(
+    topo::DeviceId src_dev, topo::DeviceId dst_dev, std::size_t index,
+    const topo::PathPlan& plan, std::uint64_t bytes, int chunks,
+    std::size_t offset) {
+  PathState p;
+  p.plan = plan;
+  p.bytes = bytes;
+  p.offset = offset;
+  p.plan_index = index;
+  // Never more chunks than bytes.
+  p.chunks = static_cast<int>(
+      std::min<std::uint64_t>(static_cast<std::uint64_t>(chunks), bytes));
+  p.split_chunks();
+  p.staged = plan.kind != topo::PathKind::Direct;
+  p.first_stream = stream_for({src_dev, dst_dev, index, 0}, src_dev);
+  if (p.staged) {
+    p.second_stream = stream_for({src_dev, dst_dev, index, 1}, plan.stage);
+    const auto& costs = runtime_->costs();
+    p.extra_sync_s = plan.kind == topo::PathKind::HostStaged
+                         ? costs.host_stage_sync_s
+                         : costs.stage_sync_s;
+  }
+  return p;
+}
+
+void PipelineEngine::bind_staging(PathState& path, StagingPool::Lease lease) {
+  path.lease = std::move(lease);
+  path.slot_bytes = path.lease.buffer().size() / 2;
+  for (int c = 0; c < path.chunks; ++c) {
+    path.fwd_events.push_back(runtime_->acquire_event());
+    path.bwd_events.push_back(runtime_->acquire_event());
+  }
+}
+
 sim::Task<TransferOutcome> PipelineEngine::execute_monitored(
     gpusim::DeviceBuffer& dst, std::size_t dst_offset,
     const gpusim::DeviceBuffer& src, std::size_t src_offset, ExecPlan plan,
     PathWatchList watch) {
-  if (!watch.empty() && watch.size() != plan.size()) {
-    throw std::invalid_argument(
-        "PipelineEngine: watch must be empty or match the plan size");
-  }
-  // Validate the *whole* plan before issuing anything: a malformed plan
-  // must not leak staging-slot reservations or partially issued operations.
-  // The sum is overflow-checked so a wrapped total cannot slip past the
-  // region bounds check and then throw mid-issuance.
-  std::uint64_t total = 0;
-  for (const ExecPath& p : plan) {
-    if (p.chunks < 1) {
-      throw std::invalid_argument("PipelineEngine: chunks must be >= 1");
-    }
-    if (p.plan.kind != topo::PathKind::Direct &&
-        p.plan.stage == topo::kInvalidDevice) {
-      throw std::invalid_argument("PipelineEngine: staged path without stage");
-    }
-    if (p.bytes > std::numeric_limits<std::uint64_t>::max() - total) {
-      throw std::invalid_argument("PipelineEngine: plan byte total overflows");
-    }
-    total += p.bytes;
-  }
+  check_watch(watch, plan.size());
+  const std::uint64_t total = checked_total(plan);
   src.check_region(src_offset, total);
   dst.check_region(dst_offset, total);
 
+  // Transient per-path state for this one transfer. Staged paths wait for
+  // a staging slot here, before any watchdog is armed: acquisition time is
+  // charged to the transfer, not to the deadline.
   const topo::DeviceId src_dev = src.device();
-  const topo::DeviceId dst_dev = dst.device();
-  const auto& costs = runtime_->costs();
-
-  bool any_watch = false;
-  for (const PathWatch& w : watch) any_watch |= w.deadline_s > 0.0;
-  std::shared_ptr<MonitorState> mon;
-  if (any_watch) {
-    mon = sim::make_pooled<MonitorState>();
-    mon->rt = runtime_;
-    mon->entries.resize(plan.size());
-  }
-
-  // -- prepare per-path issue state -----------------------------------------
-  util::SmallVec<PathIssue, 4> paths;
+  PathStates paths;
   std::size_t offset = 0;
   for (std::size_t i = 0; i < plan.size(); ++i) {
     const ExecPath& spec = plan[i];
     if (spec.bytes == 0) continue;
-    PathIssue pi;
-    pi.spec = spec;
-    pi.offset = offset;
-    pi.plan_index = i;
-    pi.monitored = mon != nullptr && watch[i].deadline_s > 0.0;
+    PathState p = path_state(src_dev, dst.device(), i, spec.plan, spec.bytes,
+                             spec.chunks, offset);
     offset += spec.bytes;
-    // Never more chunks than bytes.
-    const int k = static_cast<int>(std::min<std::uint64_t>(
-        static_cast<std::uint64_t>(spec.chunks), spec.bytes));
-    pi.spec.chunks = k;
-    const std::uint64_t base = spec.bytes / static_cast<std::uint64_t>(k);
-    const std::uint64_t rem = spec.bytes % static_cast<std::uint64_t>(k);
-    std::size_t chunk_off = 0;
-    for (int c = 0; c < k; ++c) {
-      const std::size_t sz =
-          base + (static_cast<std::uint64_t>(c) < rem ? 1 : 0);
-      pi.chunk_offsets.push_back(chunk_off);
-      pi.chunk_sizes.push_back(sz);
-      chunk_off += sz;
+    if (p.staged) {
+      bind_staging(p, co_await staging_.acquire(
+                          p.plan.stage, 2 * p.chunk_sizes.front(), src_dev));
     }
-    pi.staged = spec.plan.kind != topo::PathKind::Direct;
-    if (pi.staged) {
-      pi.first_stream = stream_for({src_dev, dst_dev, i, 0}, src_dev);
-      pi.second_stream =
-          stream_for({src_dev, dst_dev, i, 1}, spec.plan.stage);
-      pi.extra_sync_s = spec.plan.kind == topo::PathKind::HostStaged
-                            ? costs.host_stage_sync_s
-                            : costs.stage_sync_s;
-      const std::size_t max_chunk =
-          *std::max_element(pi.chunk_sizes.begin(), pi.chunk_sizes.end());
-      // Double-buffered staging: two slots of the largest chunk.
-      pi.lease =
-          co_await staging_.acquire(spec.plan.stage, 2 * max_chunk, src_dev);
-      for (int c = 0; c < k; ++c) {
-        pi.fwd_events.push_back(runtime_->acquire_event());
-        pi.bwd_events.push_back(runtime_->acquire_event());
-      }
-    } else {
-      pi.first_stream = stream_for({src_dev, dst_dev, i, 0}, src_dev);
-    }
-    if (pi.monitored) {
-      MonitorState::Entry& e = mon->entries[i];
-      e.token = runtime_->make_cancel_token();
-      e.bytes = spec.bytes;
-      e.chunk_sizes = pi.chunk_sizes;
-      e.staged = pi.staged;
-      if (pi.staged) {
-        // The backward record of chunk c fires once the chunk left the
-        // staging device, i.e. the chunk is visible at the destination.
-        e.done_events = pi.bwd_events;
-      }
-      // Direct paths need no events at all: each chunk's copy reports its
-      // own completion through a DoneHook (see the issue loop below).
-    }
-    bytes_by_kind_[spec.plan.kind] += spec.bytes;
-    paths.push_back(std::move(pi));
+    paths.push_back(std::move(p));
   }
 
-  // -- arm watchdogs ----------------------------------------------------------
-  // Deadlines are relative to issue start (staging acquisition included in
-  // the prepare loop above is charged to the transfer, not the deadline).
-  // The callback holds the shared MonitorState, not the coroutine frame, so
-  // a timer firing after the transfer completed is a harmless no-op.
-  if (mon != nullptr) {
-    sim::Engine& engine = runtime_->engine();
-    for (const PathIssue& pi : paths) {
-      if (!pi.monitored) continue;
-      const std::size_t i = pi.plan_index;
-      engine.schedule_callback(engine.now() + watch[i].deadline_s,
-                               [mon, i] { mon->on_deadline(i); });
-    }
-  }
+  TransferOutcome out =
+      co_await drive(paths, plan.size(), dst, dst_offset, src, src_offset,
+                     std::move(watch), /*release_leases=*/true);
 
-  // -- interleaved issue loop -------------------------------------------------
-  // One host loop issues chunk r of every path before chunk r+1 of any, so
-  // all paths begin flowing early while later paths still start strictly
-  // after earlier ones (sequential initiation).
-  int max_rounds = 0;
-  for (const PathIssue& pi : paths) {
-    max_rounds = std::max(max_rounds, pi.spec.chunks);
-  }
-  for (int r = 0; r < max_rounds; ++r) {
-    for (PathIssue& pi : paths) {
-      if (r >= pi.spec.chunks) continue;
-      // Stop feeding a path whose watchdog already gave up on it.
-      if (pi.monitored && mon->entries[pi.plan_index].timed_out) continue;
-      gpusim::CancelTokenPtr token =
-          pi.monitored ? mon->entries[pi.plan_index].token : nullptr;
-      const std::size_t c = static_cast<std::size_t>(r);
-      const std::size_t sz = pi.chunk_sizes[c];
-      const std::size_t src_at = src_offset + pi.offset + pi.chunk_offsets[c];
-      const std::size_t dst_at = dst_offset + pi.offset + pi.chunk_offsets[c];
-      if (!pi.staged) {
-        // Progress accounting rides the copy's own completion instead of an
-        // extra per-chunk event record: monitoring a direct path is free.
-        gpusim::GpuRuntime::DoneHook hook;
-        if (pi.monitored) {
-          hook = [mon, i = pi.plan_index, sz](bool delivered) {
-            if (delivered) mon->entries[i].delivered += sz;
-          };
-        }
-        runtime_->memcpy_async(dst, dst_at, src, src_at, sz, pi.first_stream,
-                               token, std::move(hook));
-        co_await issue_cost();
-        continue;
-      }
-      gpusim::DeviceBuffer& stage = pi.lease.buffer();
-      const std::size_t slot_off = (c % 2) * (stage.size() / 2);
-      if (r >= 2) {
-        // The slot is free once chunk c-2 left the staging device.
-        runtime_->wait_event(pi.first_stream, pi.bwd_events[c - 2]);
-        co_await issue_cost();
-      }
-      runtime_->memcpy_async(stage, slot_off, src, src_at, sz,
-                             pi.first_stream, token);
-      co_await issue_cost();
-      runtime_->record_event(pi.fwd_events[c], pi.first_stream);
-      co_await issue_cost();
-      runtime_->wait_event(pi.second_stream, pi.fwd_events[c]);
-      co_await issue_cost();
-      if (pi.extra_sync_s > 0.0) {
-        runtime_->stream_delay(pi.second_stream, pi.extra_sync_s);
-        co_await issue_cost();
-      }
-      runtime_->memcpy_async(dst, dst_at, stage, slot_off, sz,
-                             pi.second_stream, token);
-      co_await issue_cost();
-      runtime_->record_event(pi.bwd_events[c], pi.second_stream);
-      if (pi.monitored) ++mon->entries[pi.plan_index].records_issued;
-      co_await issue_cost();
-    }
-  }
-
-  // -- completion ---------------------------------------------------------------
-  // Staged paths first: their staging lease returns to the pool the moment
-  // their own streams drain, so windowed transfers never hold buffers
-  // hostage while waiting for an unrelated (direct) slice to finish. A
-  // timed-out path's streams drain too: its cancelled copies skip the data
-  // movement, so the synchronize below returns promptly instead of hanging.
-  for (PathIssue& pi : paths) {
-    if (!pi.staged) continue;
-    co_await runtime_->synchronize(pi.second_stream);
-    const bool timed_out =
-        pi.monitored && mon->entries[pi.plan_index].timed_out;
-    if (src.materialized() && dst.materialized() &&
-        !pi.lease.buffer().materialized()) {
-      // Simulated staging buffer between materialized endpoints: land the
-      // payload in bulk — but only the delivered prefix of a path that was
-      // aborted mid-flight.
-      const std::size_t land =
-          timed_out
-              ? static_cast<std::size_t>(mon->entries[pi.plan_index].delivered)
-              : static_cast<std::size_t>(pi.spec.bytes);
-      if (land > 0) {
-        std::memcpy(dst.region(dst_offset + pi.offset, land).data(),
-                    src.region(src_offset + pi.offset, land).data(), land);
-      }
-    }
-    pi.lease.release();
-  }
-  for (PathIssue& pi : paths) {
-    if (pi.staged) continue;
-    co_await runtime_->synchronize(pi.first_stream);
-  }
-  ++transfers_;
-
-  // Recycle this transfer's events. All records have fired (streams are
-  // drained above), every waiter captured its latch at enqueue time, and
-  // late watchdog timers bail out on finished/timed-out entries before
+  // Recycle this transfer's events. All records have fired (the driver
+  // drained every stream), every waiter captured its latch at enqueue time,
+  // and late watchdog timers bail out on finished/timed-out entries before
   // consulting events — so a reused id can never alias stale state.
-  for (PathIssue& pi : paths) {
-    for (gpusim::EventId ev : pi.fwd_events) runtime_->release_event(ev);
-    for (gpusim::EventId ev : pi.bwd_events) runtime_->release_event(ev);
-  }
-
-  // -- assemble the outcome ---------------------------------------------------
-  TransferOutcome out;
-  out.paths.resize(plan.size());
-  for (std::size_t i = 0; i < plan.size(); ++i) {
-    out.paths[i].bytes = plan[i].bytes;
-    out.paths[i].bytes_delivered = plan[i].bytes;  // default: fully delivered
-  }
-  if (mon != nullptr) {
-    for (std::size_t i = 0; i < plan.size(); ++i) {
-      MonitorState::Entry& e = mon->entries[i];
-      if (e.timed_out) {
-        out.paths[i].timed_out = true;
-        out.paths[i].bytes_delivered = e.delivered;
-        out.complete = false;
-      } else {
-        e.finished = true;  // disarm any still-pending watchdog timer
-      }
-    }
+  for (PathState& p : paths) {
+    for (gpusim::EventId ev : p.fwd_events) runtime_->release_event(ev);
+    for (gpusim::EventId ev : p.bwd_events) runtime_->release_event(ev);
   }
   co_return out;
-  // Leases release on scope exit, returning staging buffers to the pool.
 }
 
 std::shared_ptr<TransferGraph> PipelineEngine::compile_graph(
     topo::DeviceId src_dev, topo::DeviceId dst_dev,
     const model::TransferConfig& config) {
-  // Validate the whole config first, mirroring execute_monitored: a
-  // malformed config must not leak reserved events or staging slots.
-  std::uint64_t total = 0;
-  for (const model::PathShare& share : config.paths) {
-    if (share.bytes > 0 && share.chunks < 1) {
-      throw std::invalid_argument("PipelineEngine: chunks must be >= 1");
-    }
-    if (share.bytes > 0 && share.plan.kind != topo::PathKind::Direct &&
-        share.plan.stage == topo::kInvalidDevice) {
-      throw std::invalid_argument("PipelineEngine: staged path without stage");
-    }
-    if (share.bytes > std::numeric_limits<std::uint64_t>::max() - total) {
-      throw std::invalid_argument("PipelineEngine: plan byte total overflows");
-    }
-    total += share.bytes;
-  }
-  if (config.paths.empty() || total == 0) {
+  // Validate the whole config first: a malformed config must not leak
+  // reserved events or staging slots.
+  const std::uint64_t total = checked_total(config.paths);
+  if (total == 0) {
     throw std::invalid_argument("PipelineEngine: cannot compile empty config");
   }
 
-  const auto& costs = runtime_->costs();
   auto graph = std::make_shared<TransferGraph>();
   graph->runtime_ = runtime_;
   graph->src_dev_ = src_dev;
@@ -389,44 +234,19 @@ std::shared_ptr<TransferGraph> PipelineEngine::compile_graph(
   for (std::size_t i = 0; i < config.paths.size(); ++i) {
     const model::PathShare& share = config.paths[i];
     if (share.bytes == 0) continue;
-    TransferGraph::Path p;
-    p.plan = share.plan;
-    p.bytes = share.bytes;
-    p.offset = offset;
-    p.plan_index = i;
+    PathState p = path_state(src_dev, dst_dev, i, share.plan, share.bytes,
+                             share.chunks, offset);
     offset += share.bytes;
-    const int k = static_cast<int>(std::min<std::uint64_t>(
-        static_cast<std::uint64_t>(share.chunks), share.bytes));
-    p.chunks = k;
-    p.staged = share.plan.kind != topo::PathKind::Direct;
     if (p.staged) {
-      p.first_stream = stream_for({src_dev, dst_dev, i, 0}, src_dev);
-      p.second_stream = stream_for({src_dev, dst_dev, i, 1}, share.plan.stage);
-      p.extra_sync_s = share.plan.kind == topo::PathKind::HostStaged
-                           ? costs.host_stage_sync_s
-                           : costs.stage_sync_s;
-      // Largest chunk under the base/remainder split; double-buffered slot.
-      const std::uint64_t base = share.bytes / static_cast<std::uint64_t>(k);
-      const std::uint64_t max_chunk =
-          base + (share.bytes % static_cast<std::uint64_t>(k) != 0 ? 1 : 0);
-      p.lease = staging_.try_acquire(
-          share.plan.stage, 2 * static_cast<std::size_t>(max_chunk), src_dev);
-      if (!p.lease.valid()) {
-        // Pool exhausted: refuse to compile rather than block. The partial
-        // graph's destructor returns any already-reserved resources.
-        return nullptr;
-      }
-      p.slot_bytes = p.lease.buffer().size() / 2;
-      for (int c = 0; c < k; ++c) {
-        p.fwd_events.push_back(runtime_->acquire_event());
-        p.bwd_events.push_back(runtime_->acquire_event());
-      }
-    } else {
-      p.first_stream = stream_for({src_dev, dst_dev, i, 0}, src_dev);
+      StagingPool::Lease lease = staging_.try_acquire(
+          p.plan.stage, 2 * p.chunk_sizes.front(), src_dev);
+      // Pool exhausted: refuse to compile rather than block. The partial
+      // graph's destructor returns any already-reserved resources.
+      if (!lease.valid()) return nullptr;
+      bind_staging(p, std::move(lease));
     }
     graph->paths_.push_back(std::move(p));
   }
-  graph->rebuild_ops();
   return graph;
 }
 
@@ -446,10 +266,7 @@ sim::Task<TransferOutcome> PipelineEngine::replay(
     throw std::logic_error(
         "PipelineEngine: graph replay already in flight (not reentrant)");
   }
-  if (!watch.empty() && watch.size() != g.config_.paths.size()) {
-    throw std::invalid_argument(
-        "PipelineEngine: watch must be empty or match the compiled paths");
-  }
+  check_watch(watch, g.config_.paths.size());
   if (src.device() != g.src_dev_ || dst.device() != g.dst_dev_) {
     throw std::invalid_argument(
         "PipelineEngine: replay endpoints do not match the compiled graph");
@@ -463,8 +280,18 @@ sim::Task<TransferOutcome> PipelineEngine::replay(
     TransferGraph* g;
     ~BusyReset() { g->busy_ = false; }
   } busy_reset{&g};
+  // The template keeps its staging leases and events across replays: that
+  // is the point of compiling (persistent reservation, no per-transfer
+  // acquire).
+  co_return co_await drive(g.paths_, g.config_.paths.size(), dst, dst_offset,
+                           src, src_offset, std::move(watch),
+                           /*release_leases=*/false);
+}
 
-  const std::size_t plan_size = g.config_.paths.size();
+sim::Task<TransferOutcome> PipelineEngine::drive(
+    PathStates& paths, std::size_t plan_size, gpusim::DeviceBuffer& dst,
+    std::size_t dst_offset, const gpusim::DeviceBuffer& src,
+    std::size_t src_offset, PathWatchList watch, bool release_leases) {
   bool any_watch = false;
   for (const PathWatch& w : watch) any_watch |= w.deadline_s > 0.0;
   std::shared_ptr<MonitorState> mon;
@@ -473,145 +300,140 @@ sim::Task<TransferOutcome> PipelineEngine::replay(
     mon->rt = runtime_;
     mon->entries.resize(plan_size);
   }
+  // The watchdog entry of a monitored path, null for an unmonitored one.
+  const auto watched = [&mon](const PathState& p) -> MonitorState::Entry* {
+    if (mon == nullptr) return nullptr;
+    MonitorState::Entry& e = mon->entries[p.plan_index];
+    return e.token != nullptr ? &e : nullptr;
+  };
 
-  // -- prepare monitor entries + accounting (no issue state to build) -------
-  util::SmallVec<std::uint8_t, 4> monitored;
-  monitored.resize(g.paths_.size());
-  for (std::size_t pidx = 0; pidx < g.paths_.size(); ++pidx) {
-    const TransferGraph::Path& pi = g.paths_[pidx];
-    const bool m =
-        mon != nullptr && watch[pi.plan_index].deadline_s > 0.0;
-    monitored[pidx] = m ? 1 : 0;
-    if (m) {
-      MonitorState::Entry& e = mon->entries[pi.plan_index];
+  // -- monitor entries and accounting -----------------------------------------
+  for (const PathState& p : paths) {
+    if (mon != nullptr && watch[p.plan_index].deadline_s > 0.0) {
+      MonitorState::Entry& e = mon->entries[p.plan_index];
       e.token = runtime_->make_cancel_token();
-      e.bytes = pi.bytes;
-      e.chunk_sizes = pi.chunk_sizes;
-      e.staged = pi.staged;
-      if (pi.staged) e.done_events = pi.bwd_events;
+      e.bytes = p.bytes;
+      e.chunk_sizes = p.chunk_sizes;
+      e.staged = p.staged;
+      // The backward record of chunk c fires once the chunk left the
+      // staging device, i.e. the chunk is visible at the destination.
+      // Direct paths need no events at all: each chunk's copy reports its
+      // own completion through a DoneHook (see the issue loop below).
+      if (p.staged) e.done_events = p.bwd_events;
     }
-    bytes_by_kind_[pi.plan.kind] += pi.bytes;
+    bytes_by_kind_[p.plan.kind] += p.bytes;
   }
 
-  // -- arm watchdogs (same relative-deadline semantics as the slow path) ----
+  // -- arm watchdogs ----------------------------------------------------------
+  // Deadlines are relative to issue start. The callback holds the shared
+  // MonitorState, not the coroutine frame, so a timer firing after the
+  // transfer completed is a harmless no-op.
   if (mon != nullptr) {
     sim::Engine& engine = runtime_->engine();
-    for (std::size_t pidx = 0; pidx < g.paths_.size(); ++pidx) {
-      if (monitored[pidx] == 0) continue;
-      const std::size_t i = g.paths_[pidx].plan_index;
+    for (const PathState& p : paths) {
+      if (watched(p) == nullptr) continue;
+      const std::size_t i = p.plan_index;
       engine.schedule_callback(engine.now() + watch[i].deadline_s,
                                [mon, i] { mon->on_deadline(i); });
     }
   }
 
-  // -- replay the precompiled op list ---------------------------------------
-  // One flat walk; every op issues exactly one runtime call followed by one
-  // issue-cost await, in the same order the uncompiled loop would. Chunk
-  // heads re-check the watchdog (the once-per-(path, round) check of the
-  // uncompiled loop) and skip the rest of a timed-out chunk group.
-  bool skipping = false;
-  for (const GraphOp& op : g.ops_) {
-    if (op.chunk_head) {
-      // Each (path, chunk) group's ops are contiguous, so one flag carries
-      // the skip decision to the end of the group.
-      skipping = monitored[op.path] != 0 &&
-                 mon->entries[g.paths_[op.path].plan_index].timed_out;
-    }
-    if (skipping) continue;
-    TransferGraph::Path& pi = g.paths_[op.path];
-    const bool m = monitored[op.path] != 0;
-    gpusim::CancelTokenPtr token =
-        m ? mon->entries[pi.plan_index].token : nullptr;
-    const std::size_t c = op.chunk;
-    switch (op.kind) {
-      case GraphOp::Kind::kCopyDirect: {
-        const std::size_t sz = pi.chunk_sizes[c];
-        const std::size_t src_at =
-            src_offset + pi.offset + pi.chunk_offsets[c];
-        const std::size_t dst_at =
-            dst_offset + pi.offset + pi.chunk_offsets[c];
+  // -- interleaved issue loop -------------------------------------------------
+  // One host loop issues chunk r of every path before chunk r+1 of any, so
+  // all paths begin flowing early while later paths still start strictly
+  // after earlier ones (sequential initiation). Every runtime call is
+  // followed by one issue-cost await.
+  int max_rounds = 0;
+  for (const PathState& p : paths) max_rounds = std::max(max_rounds, p.chunks);
+  for (int r = 0; r < max_rounds; ++r) {
+    for (PathState& p : paths) {
+      if (r >= p.chunks) continue;
+      MonitorState::Entry* e = watched(p);
+      // Stop feeding a path whose watchdog already gave up on it.
+      if (e != nullptr && e->timed_out) continue;
+      gpusim::CancelTokenPtr token = e != nullptr ? e->token : nullptr;
+      const std::size_t c = static_cast<std::size_t>(r);
+      const std::size_t sz = p.chunk_sizes[c];
+      const std::size_t src_at = src_offset + p.offset + p.chunk_offsets[c];
+      const std::size_t dst_at = dst_offset + p.offset + p.chunk_offsets[c];
+      if (!p.staged) {
+        // Progress accounting rides the copy's own completion instead of an
+        // extra per-chunk event record: monitoring a direct path is free.
         gpusim::GpuRuntime::DoneHook hook;
-        if (m) {
-          hook = [mon, i = pi.plan_index, sz](bool delivered) {
+        if (e != nullptr) {
+          hook = [mon, i = p.plan_index, sz](bool delivered) {
             if (delivered) mon->entries[i].delivered += sz;
           };
         }
-        runtime_->memcpy_async(dst, dst_at, src, src_at, sz, pi.first_stream,
+        runtime_->memcpy_async(dst, dst_at, src, src_at, sz, p.first_stream,
                                std::move(token), std::move(hook));
-        break;
+        co_await issue_cost();
+        continue;
       }
-      case GraphOp::Kind::kWaitSlot:
-        runtime_->wait_event(pi.first_stream, pi.bwd_events[c - 2]);
-        break;
-      case GraphOp::Kind::kCopyToStage: {
-        gpusim::DeviceBuffer& stage = pi.lease.buffer();
-        const std::size_t slot_off = (c % 2) * (stage.size() / 2);
-        runtime_->memcpy_async(stage, slot_off, src,
-                               src_offset + pi.offset + pi.chunk_offsets[c],
-                               pi.chunk_sizes[c], pi.first_stream,
-                               std::move(token));
-        break;
+      gpusim::DeviceBuffer& stage = p.lease.buffer();
+      const std::size_t slot_off = (c % 2) * p.slot_bytes;
+      if (r >= 2) {
+        // The slot is free once chunk c-2 left the staging device.
+        runtime_->wait_event(p.first_stream, p.bwd_events[c - 2]);
+        co_await issue_cost();
       }
-      case GraphOp::Kind::kRecordFwd:
-        runtime_->record_event(pi.fwd_events[c], pi.first_stream);
-        break;
-      case GraphOp::Kind::kWaitFwd:
-        runtime_->wait_event(pi.second_stream, pi.fwd_events[c]);
-        break;
-      case GraphOp::Kind::kStageDelay:
-        runtime_->stream_delay(pi.second_stream, pi.extra_sync_s);
-        break;
-      case GraphOp::Kind::kCopyFromStage: {
-        gpusim::DeviceBuffer& stage = pi.lease.buffer();
-        const std::size_t slot_off = (c % 2) * (stage.size() / 2);
-        runtime_->memcpy_async(dst,
-                               dst_offset + pi.offset + pi.chunk_offsets[c],
-                               stage, slot_off, pi.chunk_sizes[c],
-                               pi.second_stream, std::move(token));
-        break;
+      runtime_->memcpy_async(stage, slot_off, src, src_at, sz, p.first_stream,
+                             token);
+      co_await issue_cost();
+      runtime_->record_event(p.fwd_events[c], p.first_stream);
+      co_await issue_cost();
+      runtime_->wait_event(p.second_stream, p.fwd_events[c]);
+      co_await issue_cost();
+      if (p.extra_sync_s > 0.0) {
+        runtime_->stream_delay(p.second_stream, p.extra_sync_s);
+        co_await issue_cost();
       }
-      case GraphOp::Kind::kRecordBwd:
-        runtime_->record_event(pi.bwd_events[c], pi.second_stream);
-        if (m) ++mon->entries[pi.plan_index].records_issued;
-        break;
+      runtime_->memcpy_async(dst, dst_at, stage, slot_off, sz,
+                             p.second_stream, std::move(token));
+      co_await issue_cost();
+      runtime_->record_event(p.bwd_events[c], p.second_stream);
+      if (e != nullptr) ++e->records_issued;
+      co_await issue_cost();
     }
-    co_await issue_cost();
   }
 
-  // -- completion (same order as the slow path; leases are RETAINED) --------
-  for (std::size_t pidx = 0; pidx < g.paths_.size(); ++pidx) {
-    TransferGraph::Path& pi = g.paths_[pidx];
-    if (!pi.staged) continue;
-    co_await runtime_->synchronize(pi.second_stream);
-    const bool timed_out =
-        monitored[pidx] != 0 && mon->entries[pi.plan_index].timed_out;
+  // -- completion ---------------------------------------------------------------
+  // Staged paths first: a transient staging lease returns to the pool the
+  // moment its own streams drain, so windowed transfers never hold buffers
+  // hostage while waiting for an unrelated (direct) slice to finish. A
+  // timed-out path's streams drain too: its cancelled copies skip the data
+  // movement, so the synchronize below returns promptly instead of hanging.
+  for (PathState& p : paths) {
+    if (!p.staged) continue;
+    co_await runtime_->synchronize(p.second_stream);
     if (src.materialized() && dst.materialized() &&
-        !pi.lease.buffer().materialized()) {
-      const std::size_t land =
-          timed_out
-              ? static_cast<std::size_t>(mon->entries[pi.plan_index].delivered)
-              : static_cast<std::size_t>(pi.bytes);
+        !p.lease.buffer().materialized()) {
+      // Simulated staging buffer between materialized endpoints: land the
+      // payload in bulk — but only the delivered prefix of a path that was
+      // aborted mid-flight.
+      const MonitorState::Entry* e = watched(p);
+      const auto land = static_cast<std::size_t>(
+          e != nullptr && e->timed_out ? e->delivered : p.bytes);
       if (land > 0) {
-        std::memcpy(dst.region(dst_offset + pi.offset, land).data(),
-                    src.region(src_offset + pi.offset, land).data(), land);
+        std::memcpy(dst.region(dst_offset + p.offset, land).data(),
+                    src.region(src_offset + p.offset, land).data(), land);
       }
     }
-    // The staging lease stays with the template — that is the point of the
-    // compiled graph (persistent reservation, no per-transfer acquire).
+    if (release_leases) p.lease.release();
   }
-  for (const TransferGraph::Path& pi : g.paths_) {
-    if (pi.staged) continue;
-    co_await runtime_->synchronize(pi.first_stream);
+  for (const PathState& p : paths) {
+    if (p.staged) continue;
+    co_await runtime_->synchronize(p.first_stream);
   }
   ++transfers_;
-  // No event recycling either: the template keeps its reserved events.
 
-  // -- assemble the outcome -------------------------------------------------
+  // -- assemble the outcome ---------------------------------------------------
+  // Parallel to the plan; shares without state carry no bytes.
   TransferOutcome out;
   out.paths.resize(plan_size);
-  for (std::size_t i = 0; i < plan_size; ++i) {
-    out.paths[i].bytes = g.config_.paths[i].bytes;
-    out.paths[i].bytes_delivered = g.config_.paths[i].bytes;
+  for (const PathState& p : paths) {
+    out.paths[p.plan_index].bytes = p.bytes;
+    out.paths[p.plan_index].bytes_delivered = p.bytes;  // default: delivered
   }
   if (mon != nullptr) {
     for (std::size_t i = 0; i < plan_size; ++i) {

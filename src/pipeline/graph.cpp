@@ -9,7 +9,7 @@ TransferGraph::~TransferGraph() {
   // Return reserved events to the runtime free list; staging leases release
   // through their own destructors. Safe mid-replay only because replays
   // hold the graph by shared_ptr — destruction here means no frame is
-  // walking the ops.
+  // walking its paths.
   if (runtime_ == nullptr) return;
   for (Path& p : paths_) {
     for (gpusim::EventId ev : p.fwd_events) runtime_->release_event(ev);
@@ -63,7 +63,7 @@ bool TransferGraph::patch(std::uint64_t new_bytes) {
   }
 
   // Commit: refresh the config's shares and predicted times, then the
-  // per-path issue state and the op list.
+  // per-path issue state and its chunk tables.
   std::size_t offset = 0;
   config_.total_bytes = new_bytes;
   config_.predicted_time = 0.0;
@@ -88,54 +88,23 @@ bool TransferGraph::patch(std::uint64_t new_bytes) {
     offset += share.bytes;
   }
   total_bytes_ = new_bytes;
-  rebuild_ops();
+  for (Path& path : paths_) path.split_chunks();
   return true;
 }
 
-void TransferGraph::rebuild_ops() {
-  ops_.clear();
-  int max_rounds = 0;
-  for (Path& p : paths_) {
-    p.chunk_offsets.clear();
-    p.chunk_sizes.clear();
-    if (p.bytes == 0 || p.chunks < 1) continue;
-    const auto k = static_cast<std::uint64_t>(p.chunks);
-    const std::uint64_t base = p.bytes / k;
-    const std::uint64_t rem = p.bytes % k;
-    std::size_t chunk_off = 0;
-    for (std::uint64_t c = 0; c < k; ++c) {
-      const std::size_t sz =
-          static_cast<std::size_t>(base + (c < rem ? 1 : 0));
-      p.chunk_offsets.push_back(chunk_off);
-      p.chunk_sizes.push_back(sz);
-      chunk_off += sz;
-    }
-    max_rounds = std::max(max_rounds, p.chunks);
-  }
-  // Flatten the interleaved issue loop: chunk r of every path before chunk
-  // r+1 of any. The first op of each (path, chunk) group is the chunk head
-  // — the replay driver's watchdog check point.
-  for (int r = 0; r < max_rounds; ++r) {
-    for (std::size_t pidx = 0; pidx < paths_.size(); ++pidx) {
-      const Path& p = paths_[pidx];
-      if (static_cast<std::size_t>(r) >= p.chunk_sizes.size()) continue;
-      const auto path16 = static_cast<std::uint16_t>(pidx);
-      const auto chunk16 = static_cast<std::uint16_t>(r);
-      auto push = [this, path16, chunk16](GraphOp::Kind kind, bool head) {
-        ops_.push_back(GraphOp{kind, head, path16, chunk16});
-      };
-      if (!p.staged) {
-        push(GraphOp::Kind::kCopyDirect, true);
-        continue;
-      }
-      if (r >= 2) push(GraphOp::Kind::kWaitSlot, true);
-      push(GraphOp::Kind::kCopyToStage, r < 2);
-      push(GraphOp::Kind::kRecordFwd, false);
-      push(GraphOp::Kind::kWaitFwd, false);
-      if (p.extra_sync_s > 0.0) push(GraphOp::Kind::kStageDelay, false);
-      push(GraphOp::Kind::kCopyFromStage, false);
-      push(GraphOp::Kind::kRecordBwd, false);
-    }
+void TransferGraph::Path::split_chunks() {
+  chunk_offsets.clear();
+  chunk_sizes.clear();
+  if (bytes == 0 || chunks < 1) return;
+  const auto k = static_cast<std::uint64_t>(chunks);
+  const std::uint64_t base = bytes / k;
+  const std::uint64_t rem = bytes % k;
+  std::size_t chunk_off = 0;
+  for (std::uint64_t c = 0; c < k; ++c) {
+    const auto sz = static_cast<std::size_t>(base + (c < rem ? 1 : 0));
+    chunk_offsets.push_back(chunk_off);
+    chunk_sizes.push_back(sz);
+    chunk_off += sz;
   }
 }
 

@@ -44,10 +44,11 @@ struct Fixture {
   std::vector<mt::DeviceId> gpus;
 
   explicit Fixture(double jitter_rel = 0.0,
-                   std::size_t staging_buffers_per_device = 4)
+                   std::size_t staging_buffers_per_device = 4,
+                   mg::Payload staging_payload = mg::Payload::Materialized)
       : sys(make_sys(jitter_rel)),
         rt(sys, engine, net),
-        pipe(rt, staging_buffers_per_device),
+        pipe(rt, staging_buffers_per_device, staging_payload),
         reg(mpath::tuning::registry_from_topology(sys)),
         cfg(reg) {
     gpus = sys.topology.gpus();
@@ -68,6 +69,63 @@ struct Fixture {
     return rt.binding().link_for_edge(*sys.topology.direct_edge(a, b));
   }
 };
+
+// Stream operations one replay issues for path `p`, read off its chunk
+// table: one copy per direct chunk; per staged chunk the copy in, both event
+// records, the forward wait and the copy out, plus the host-sync delay on
+// paths that pay one and the slot wait from chunk 2 on.
+std::uint64_t path_ops(const mp::TransferGraph::Path& p) {
+  const std::uint64_t k = p.chunk_sizes.size();
+  if (!p.staged) return k;
+  return k * (p.extra_sync_s > 0.0 ? 6 : 5) + (k > 2 ? k - 2 : 0);
+}
+
+std::uint64_t expected_ops(const mp::TransferGraph& g) {
+  std::uint64_t n = 0;
+  for (const auto& p : g.paths()) n += path_ops(p);
+  return n;
+}
+
+// Every path's chunk table tiles its slice, and the slices tile the message.
+void expect_chunk_tables_tile(const mp::TransferGraph& g) {
+  std::uint64_t slice_at = 0;
+  for (const auto& p : g.paths()) {
+    EXPECT_EQ(p.offset, slice_at);
+    ASSERT_EQ(p.chunk_offsets.size(), p.chunk_sizes.size());
+    EXPECT_EQ(p.chunk_sizes.size(), static_cast<std::size_t>(p.chunks));
+    std::uint64_t at = 0;
+    for (std::size_t c = 0; c < p.chunk_sizes.size(); ++c) {
+      EXPECT_EQ(p.chunk_offsets[c], at);
+      EXPECT_GT(p.chunk_sizes[c], 0u);
+      at += p.chunk_sizes[c];
+    }
+    EXPECT_EQ(at, p.bytes);
+    slice_at += p.bytes;
+  }
+  EXPECT_EQ(slice_at, g.total_bytes());
+}
+
+// Replay `g` once over fresh buffers and return the runtime's stream-op
+// count delta; the destination must match the source afterwards.
+std::uint64_t replay_ops(Fixture& f,
+                         const std::shared_ptr<mp::TransferGraph>& g,
+                         std::uint64_t seed) {
+  mg::DeviceBuffer src(f.gpus[0], g->total_bytes());
+  mg::DeviceBuffer dst(f.gpus[1], g->total_bytes());
+  src.fill_pattern(seed);
+  const std::uint64_t before = f.rt.ops_issued();
+  f.engine.spawn(
+      [](Fixture& fx, std::shared_ptr<mp::TransferGraph> gr,
+         mg::DeviceBuffer& d, const mg::DeviceBuffer& s) -> ms::Task<void> {
+        const auto out =
+            co_await fx.pipe.replay(std::move(gr), d, 0, s, 0, {});
+        EXPECT_TRUE(out.complete);
+      }(f, g, dst, src),
+      "replay-ops");
+  f.engine.run();
+  EXPECT_TRUE(dst.same_content(src));
+  return f.rt.ops_issued() - before;
+}
 
 mp::ExecPlan plan_of(const mm::TransferConfig& config) {
   mp::ExecPlan plan;
@@ -114,7 +172,7 @@ TEST(GraphCompile, ResolvesResourcesWithoutSimulatedTime) {
     EXPECT_EQ(p.chunk_sizes.size(), static_cast<std::size_t>(p.chunks));
   }
   EXPECT_EQ(covered, 64_MiB);
-  EXPECT_FALSE(g->ops().empty());
+  expect_chunk_tables_tile(*g);
 }
 
 TEST(GraphCompile, NullWhenStagingPoolExhausted) {
@@ -214,13 +272,27 @@ TEST(GraphReplay, BitIdenticalToUncompiledUnderJitter) {
 }
 
 // Same invariant under a mid-flight link failure with watchdogs armed: the
-// timeout instant, the partial-delivery accounting, and the surviving
-// paths' completions must all match the uncompiled path bit for bit.
+// timeout instant, the partial-delivery accounting, the destination bytes
+// and the surviving paths' completions must all match the uncompiled path
+// bit for bit. The severed link is the case input: the direct link, or the
+// second hop of a staged path. The staged case runs timing-only staging
+// buffers, so its delivered prefix is read from the backward event records
+// and landed in bulk.
 TEST(GraphReplay, MonitoredTimeoutMatchesUncompiledBitForBit) {
+  struct SeverCase {
+    const char* name;
+    bool staged_hop;  ///< sever stage -> dst of the first staged share
+    mg::Payload staging;
+  };
   const std::uint64_t n = 64_MiB;
-  const auto run_one = [n](bool compiled, mp::TransferOutcome& out,
-                           double& t_out) {
-    Fixture f(/*jitter_rel=*/0.01);
+  struct Run {
+    mp::TransferOutcome out;
+    double t_end = 0.0;
+    std::size_t severed = 0;  ///< plan index of the severed path
+    std::vector<std::byte> dst_bytes;
+  };
+  const auto run_one = [n](const SeverCase& sc, bool compiled, Run& run) {
+    Fixture f(/*jitter_rel=*/0.01, 4, sc.staging);
     const auto paths = f.candidates(mt::PathPolicy::three_gpus());
     const auto config = f.cfg.compute_config(f.gpus[0], f.gpus[1], n, paths);
     mp::PathWatchList watch;
@@ -230,11 +302,26 @@ TEST(GraphReplay, MonitoredTimeoutMatchesUncompiledBitForBit) {
     }
     mg::DeviceBuffer src(f.gpus[0], n), dst(f.gpus[1], n);
     src.fill_pattern(22);
-    // Sever the direct link mid-transfer; its watchdog fires, the staged
+    // Sever one path's link mid-transfer; its watchdog fires, the other
     // paths finish normally.
-    const auto link = f.direct_link(f.gpus[0], f.gpus[1]);
-    f.engine.schedule_callback(100e-6,
-                               [&f, link] { f.net.set_link_capacity(link, 0.0); });
+    ms::LinkId link = f.direct_link(f.gpus[0], f.gpus[1]);
+    double sever_at = 100e-6;
+    run.severed = 0;
+    if (sc.staged_hop) {
+      for (std::size_t i = 0; i < config.paths.size(); ++i) {
+        const auto& share = config.paths[i];
+        if (share.plan.kind != mt::PathKind::GpuStaged || share.bytes == 0) {
+          continue;
+        }
+        link = f.direct_link(share.plan.stage, f.gpus[1]);
+        sever_at = 0.5 * share.predicted_time;  // a partial prefix landed
+        run.severed = i;
+        break;
+      }
+      ASSERT_GT(run.severed, 0u) << "no staged share to sever";
+    }
+    f.engine.schedule_callback(
+        sever_at, [&f, link] { f.net.set_link_capacity(link, 0.0); });
     std::shared_ptr<mp::TransferGraph> g;
     if (compiled) {
       g = f.pipe.compile_graph(f.gpus[0], f.gpus[1], config);
@@ -252,30 +339,47 @@ TEST(GraphReplay, MonitoredTimeoutMatchesUncompiledBitForBit) {
             res = co_await fx.pipe.execute_monitored(
                 d, 0, s, 0, plan_of(cf), std::move(w));
           }
-        }(f, g, config, dst, src, watch, out),
+        }(f, g, config, dst, src, watch, run.out),
         compiled ? "replay" : "classic");
     f.engine.run();
-    t_out = f.engine.now();
+    run.t_end = f.engine.now();
+    const auto bytes = dst.region(0, n);
+    run.dst_bytes.assign(bytes.begin(), bytes.end());
   };
-  mp::TransferOutcome classic, replayed;
-  double t_classic = 0.0, t_replay = 0.0;
-  {
-    SCOPED_TRACE("classic");
-    run_one(false, classic, t_classic);
-  }
-  {
-    SCOPED_TRACE("replay");
-    run_one(true, replayed, t_replay);
-  }
-  EXPECT_EQ(t_classic, t_replay);
-  ASSERT_EQ(classic.paths.size(), replayed.paths.size());
-  EXPECT_EQ(classic.complete, replayed.complete);
-  EXPECT_FALSE(classic.complete);  // the severed direct path timed out
-  for (std::size_t i = 0; i < classic.paths.size(); ++i) {
-    EXPECT_EQ(classic.paths[i].bytes, replayed.paths[i].bytes);
-    EXPECT_EQ(classic.paths[i].bytes_delivered,
-              replayed.paths[i].bytes_delivered);
-    EXPECT_EQ(classic.paths[i].timed_out, replayed.paths[i].timed_out);
+  for (const SeverCase& sc :
+       {SeverCase{"direct link", false, mg::Payload::Materialized},
+        SeverCase{"staged second hop", true, mg::Payload::Simulated}}) {
+    SCOPED_TRACE(sc.name);
+    Run classic, replayed;
+    {
+      SCOPED_TRACE("classic");
+      run_one(sc, false, classic);
+    }
+    {
+      SCOPED_TRACE("replay");
+      run_one(sc, true, replayed);
+    }
+    EXPECT_EQ(classic.t_end, replayed.t_end);
+    ASSERT_EQ(classic.out.paths.size(), replayed.out.paths.size());
+    EXPECT_EQ(classic.out.complete, replayed.out.complete);
+    EXPECT_FALSE(classic.out.complete);  // the severed path timed out
+    for (std::size_t i = 0; i < classic.out.paths.size(); ++i) {
+      EXPECT_EQ(classic.out.paths[i].bytes, replayed.out.paths[i].bytes);
+      EXPECT_EQ(classic.out.paths[i].bytes_delivered,
+                replayed.out.paths[i].bytes_delivered);
+      EXPECT_EQ(classic.out.paths[i].timed_out,
+                replayed.out.paths[i].timed_out);
+    }
+    ASSERT_LT(classic.severed, classic.out.paths.size());
+    const mp::PathOutcome& cut = classic.out.paths[classic.severed];
+    EXPECT_TRUE(cut.timed_out);
+    if (sc.staged_hop) {
+      // A partial prefix: some chunks landed before the cut, not all.
+      EXPECT_GT(cut.bytes_delivered, 0u);
+      EXPECT_LT(cut.bytes_delivered, cut.bytes);
+    }
+    EXPECT_TRUE(classic.dst_bytes == replayed.dst_bytes)
+        << "destination bytes differ";
   }
 }
 
@@ -387,7 +491,7 @@ TEST(GraphPatch, ResplitsKeepingThetaAndDelivers) {
 TEST(GraphPatch, OneBytePatchCollapsesOntoTheAnchor) {
   // The smallest legal patch: every non-anchor share floors to zero bytes
   // (floor(theta * 1) == 0 for theta < 1), the remainder — the whole byte —
-  // lands on the anchor, and the op list degenerates to the anchor's path
+  // lands on the anchor, and the issue rounds degenerate to the anchor's path
   // alone. The graph must still replay and deliver that byte.
   Fixture f;
   const auto paths = f.candidates(mt::PathPolicy::three_gpus());
@@ -446,7 +550,8 @@ TEST(GraphPatch, PatchingBackToCompiledBytesRestoresExactShares) {
     std::vector<std::uint64_t> share_bytes;
     std::vector<double> thetas;
     std::vector<std::vector<std::size_t>> chunk_sizes;
-    std::size_t ops = 0;
+    std::vector<std::vector<std::size_t>> chunk_offsets;
+    std::uint64_t ops = 0;
   };
   const auto snapshot = [&] {
     Snap s;
@@ -456,8 +561,11 @@ TEST(GraphPatch, PatchingBackToCompiledBytesRestoresExactShares) {
     }
     for (const auto& p : g->paths()) {
       s.chunk_sizes.emplace_back(p.chunk_sizes.begin(), p.chunk_sizes.end());
+      s.chunk_offsets.emplace_back(p.chunk_offsets.begin(),
+                                   p.chunk_offsets.end());
     }
-    s.ops = g->ops().size();
+    s.ops = replay_ops(f, g, 26);
+    EXPECT_EQ(s.ops, expected_ops(*g));
     return s;
   };
   const Snap before = snapshot();
@@ -470,6 +578,7 @@ TEST(GraphPatch, PatchingBackToCompiledBytesRestoresExactShares) {
   EXPECT_EQ(after.share_bytes, before.share_bytes);
   EXPECT_EQ(after.thetas, before.thetas);
   EXPECT_EQ(after.chunk_sizes, before.chunk_sizes);
+  EXPECT_EQ(after.chunk_offsets, before.chunk_offsets);
   EXPECT_EQ(after.ops, before.ops);
   EXPECT_EQ(g->total_bytes(), 64_MiB);
 }
@@ -477,7 +586,7 @@ TEST(GraphPatch, PatchingBackToCompiledBytesRestoresExactShares) {
 TEST(GraphPatch, StagedShareDegeneratesToSingleChunk) {
   // Shrink until a staged share carries exactly one byte: its chunk count
   // clamps to min(compiled chunks, bytes) == 1, so the re-split emits a
-  // single chunk and none of the in-flight pipelining ops (no kWaitSlot,
+  // single chunk and none of the in-flight pipelining ops (no slot wait,
   // which only exists from chunk index 2 on). Replay must still deliver.
   Fixture f;
   const auto paths = f.candidates(mt::PathPolicy::three_gpus());
@@ -516,23 +625,11 @@ TEST(GraphPatch, StagedShareDegeneratesToSingleChunk) {
   EXPECT_EQ(staged_path.chunks, 1);
   ASSERT_EQ(staged_path.chunk_sizes.size(), 1u);
   EXPECT_EQ(staged_path.chunk_sizes[0], 1u);
-  for (const auto& op : g->ops()) {
-    if (op.path == staged_pidx) {
-      EXPECT_NE(op.kind, mp::GraphOp::Kind::kWaitSlot);
-    }
-  }
 
-  mg::DeviceBuffer src(f.gpus[0], new_bytes), dst(f.gpus[1], new_bytes);
-  src.fill_pattern(87);
-  f.engine.spawn(
-      [](Fixture& fx, std::shared_ptr<mp::TransferGraph> gr,
-         mg::DeviceBuffer& d, const mg::DeviceBuffer& s) -> ms::Task<void> {
-        const auto out = co_await fx.pipe.replay(gr, d, 0, s, 0, {});
-        EXPECT_TRUE(out.complete);
-      }(f, g, dst, src),
-      "single-chunk");
-  f.engine.run();
-  EXPECT_TRUE(dst.same_content(src));
+  // The single staged chunk issues no slot wait, and one replay issues
+  // exactly the stream ops the chunk tables call for.
+  EXPECT_EQ(path_ops(staged_path), staged_path.extra_sync_s > 0.0 ? 6u : 5u);
+  EXPECT_EQ(replay_ops(f, g, 87), expected_ops(*g));
 }
 
 TEST(GraphPatch, RejectsSizesThatOverflowCompiledResources) {
