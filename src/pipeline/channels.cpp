@@ -45,14 +45,6 @@ std::span<const topo::PathPlan> small_segment_path(
   return {alive.data(), 1};
 }
 
-ExecPlan exec_plan(const model::TransferConfig& config) {
-  ExecPlan plan;
-  plan.reserve(config.paths.size());
-  for (const auto& share : config.paths) {
-    plan.push_back(ExecPath{share.plan, share.bytes, share.chunks});
-  }
-  return plan;
-}
 }  // namespace
 
 /// Marks a scheduler ticket failed if the transfer coroutine unwinds
@@ -340,7 +332,11 @@ sim::Task<void> ModelDrivenChannel::run_planned(
     (void)co_await engine_->replay(std::move(graph), dst, dst_offset, src,
                                    src_offset, {});
   } else {
-    ExecPlan plan = exec_plan(config);
+    ExecPlan plan;
+    plan.reserve(config.paths.size());
+    for (const auto& share : config.paths) {
+      plan.push_back(ExecPath{share.plan, share.bytes, share.chunks});
+    }
     graph_stats_.plan_ns += plan_ns_since(plan_t0);
     co_await engine_->execute(dst, dst_offset, src, src_offset,
                               std::move(plan));
