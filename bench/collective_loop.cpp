@@ -147,13 +147,10 @@ LoopRun run_loop(bc::SimStack& stack, Coll c, std::size_t bytes, int iters) {
     if (std::getenv("MPATH_LOOP_DEBUG") != nullptr) {
       auto& ch = static_cast<mp::ModelDrivenChannel&>(stack.channel());
       const auto& gs = ch.graph_stats();
-      std::printf("    iter %d: now=%.17g replays=%llu fresh=%llu "
-                  "busy=%llu compfail=%llu\n",
-                  i, stack.engine().now(),
+      std::printf("    iter %d: now=%.17g replays=%llu fresh=%llu\n", i,
+                  stack.engine().now(),
                   static_cast<unsigned long long>(gs.replays),
-                  static_cast<unsigned long long>(gs.replays_fresh),
-                  static_cast<unsigned long long>(gs.busy_fallbacks),
-                  static_cast<unsigned long long>(gs.compile_failures));
+                  static_cast<unsigned long long>(gs.replays_fresh));
     }
   }
   return r;
@@ -268,7 +265,6 @@ int main(int argc, char** argv) {
          << ", \"iterations\": " << iters
          << ", \"replayed_steps\": " << st.replayed_steps
          << ", \"passthrough_steps\": " << st.passthrough_steps
-         << ", \"patches\": " << st.patches
          << ", \"timeline_identical\": " << (diverged == 0 ? "true" : "false")
          << ", \"passed\": "
          << (ratio_ok && chained_ok && diverged == 0 ? "true" : "false")

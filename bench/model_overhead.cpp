@@ -7,8 +7,8 @@
 // cost to a 64 MB transfer time.
 // PR 9 adds the build-vs-replay columns: BM_GraphColdBuild is the full
 // per-transfer CPU path a cache miss pays (theta solve + config + template
-// compile), BM_GraphReplay is what a cache hit pays instead (lookup +
-// parameter patch). The BENCH_pr9.json gate holds replay to <= 20% of the
+// compile), BM_GraphReplay is what a cache hit pays instead (the keyed
+// lookup). The BENCH_pr9.json gate holds replay to <= 20% of the
 // cold build at the same message size.
 #include <benchmark/benchmark.h>
 
@@ -99,8 +99,8 @@ BENCHMARK(BM_PhiFit);
 
 namespace {
 
-// Compile/replay need the pipeline stack (streams, events, staging slots);
-// the engine never advances — both paths are host-side only.
+// Compile/replay need the pipeline stack (streams); the engine never
+// advances — both paths are host-side only.
 struct GraphSetup {
   mt::System system = [] {
     auto s = mt::make_beluga();
@@ -126,8 +126,7 @@ GraphSetup& graph_setup() {
 }  // namespace
 
 // Cache-miss cost: theta solve + TransferConfig + template compile (stream
-// resolution, event reservation, staging lease, op-DAG flattening). The
-// graph is dropped each iteration so its staging slot recycles.
+// resolution and chunk tables).
 static void BM_GraphColdBuild(benchmark::State& state) {
   auto& s = graph_setup();
   mm::ConfiguratorOptions opt;
@@ -144,8 +143,8 @@ static void BM_GraphColdBuild(benchmark::State& state) {
 BENCHMARK(BM_GraphColdBuild)->Arg(2 << 20)->Arg(64 << 20);
 
 // Cache-hit cost: the entire CPU-side work the replay fast path performs
-// before issuing — keyed lookup (FNV + tuple verify + LRU splice) plus the
-// parameter patch. This is the number the <= 20%-of-cold-build gate holds.
+// before issuing — keyed lookup (FNV + tuple verify + LRU splice). This is
+// the number the <= 20%-of-cold-build gate holds.
 static void BM_GraphReplay(benchmark::State& state) {
   auto& s = graph_setup();
   mm::PathConfigurator cfg(s.registry);
@@ -157,29 +156,10 @@ static void BM_GraphReplay(benchmark::State& state) {
   const std::span<const mt::PathPlan> key{s.paths.data(), s.paths.size()};
   for (auto _ : state) {
     auto g = cache.lookup(s.gpus[0], s.gpus[1], bytes, key, 0);
-    const bool ok = g != nullptr && g->patch(bytes);
-    benchmark::DoNotOptimize(ok);
+    benchmark::DoNotOptimize(g);
   }
 }
 BENCHMARK(BM_GraphReplay)->Arg(2 << 20)->Arg(64 << 20);
-
-// Re-split cost when a replay patches a template to a different message
-// size (theta fraction kept, chunk sizes recomputed): still far below a
-// fresh build because nothing is re-solved or re-resolved.
-static void BM_GraphPatchResplit(benchmark::State& state) {
-  auto& s = graph_setup();
-  mm::PathConfigurator cfg(s.registry);
-  const mm::TransferConfig config =
-      cfg.compute_config(s.gpus[0], s.gpus[1], 64 << 20, s.paths);
-  auto g = s.pipe.compile_graph(s.gpus[0], s.gpus[1], config);
-  const std::uint64_t sizes[2] = {48ull << 20, 64ull << 20};
-  int flip = 0;
-  for (auto _ : state) {
-    const bool ok = g->patch(sizes[flip ^= 1]);
-    benchmark::DoNotOptimize(ok);
-  }
-}
-BENCHMARK(BM_GraphPatchResplit);
 
 static void BM_PredictedBandwidth(benchmark::State& state) {
   auto& s = setup();

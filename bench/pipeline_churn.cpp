@@ -216,10 +216,8 @@ static void BM_ChannelChurn(benchmark::State& state) {
     transfers += static_cast<std::uint64_t>(workers) * repeats;
     const auto& g = ch.graph_stats();
     gs.compiles += g.compiles;
-    gs.compile_failures += g.compile_failures;
     gs.replays += g.replays;
     gs.replays_fresh += g.replays_fresh;
-    gs.busy_fallbacks += g.busy_fallbacks;
     gs.health_fallbacks += g.health_fallbacks;
     gs.epoch_fallbacks += g.epoch_fallbacks;
     gs.contended_rejects += g.contended_rejects;
@@ -234,12 +232,10 @@ static void BM_ChannelChurn(benchmark::State& state) {
   // Per-cause fallback/reject columns (BENCH json and CSV): every reason a
   // template lookup bailed back to the uncompiled path, kept separate so a
   // regression in one gate is visible even when another dominates.
-  state.counters["busy_fallbacks_per_transfer"] = per(gs.busy_fallbacks);
   state.counters["health_fallbacks_per_transfer"] = per(gs.health_fallbacks);
   state.counters["epoch_fallbacks_per_transfer"] = per(gs.epoch_fallbacks);
   state.counters["contended_rejects_per_transfer"] =
       per(gs.contended_rejects);
-  state.counters["compile_failures_per_transfer"] = per(gs.compile_failures);
 }
 BENCHMARK(BM_ChannelChurn)
     ->Args({8, 0})

@@ -86,9 +86,9 @@ class SimStack {
   std::unique_ptr<pipeline::PipelineEngine> pipeline_;
   std::unique_ptr<pipeline::TransferScheduler> scheduler_;
   std::unique_ptr<gpusim::DataChannel> channel_;
-  // Declared after channel_ and before world_: the World detaches the tap
-  // first, then the controller's chains release their compiled templates
-  // (runtime events / staging leases) while the channel and runtime live.
+  // Declared after scheduler_/channel_ and before world_: the World
+  // detaches the tap first, then the controller unwinds any unclaimed round
+  // tickets while the channel and scheduler still live.
   std::unique_ptr<pipeline::ChainController> chain_;
   std::unique_ptr<mpisim::World> world_;
 };

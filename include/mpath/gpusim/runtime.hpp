@@ -88,8 +88,7 @@ class GpuRuntime {
   /// a fresh one. Reuse is safe because every consumer captures an event's
   /// latch when its op is *enqueued* and record_event re-arms the latch
   /// synchronously at enqueue — a reacquired id can never be observed
-  /// through stale state. Long-lived holders (compiled transfer graphs)
-  /// reserve events once and keep them across replays.
+  /// through stale state.
   [[nodiscard]] EventId acquire_event();
   /// Return an event to the runtime free list for acquire_event reuse. The
   /// caller must no longer use the id.
@@ -98,9 +97,9 @@ class GpuRuntime {
     return event_free_list_.size();
   }
   /// Events currently reserved via acquire_event and not yet released.
-  /// Long-lived holders (compiled transfer graphs, chained collectives)
-  /// must return this to its pre-acquisition baseline on destruction — the
-  /// chain/graph leak check in the tests asserts exactly that.
+  /// Every pipeline execution returns its events as it drains, so this is
+  /// back at its baseline whenever no transfer is in flight — the
+  /// graph/chain leak checks in the tests assert exactly that.
   [[nodiscard]] std::uint64_t events_outstanding() const {
     return events_acquired_ - events_released_;
   }

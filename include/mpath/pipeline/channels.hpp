@@ -92,23 +92,25 @@ struct ModelDrivenOptions {
   /// Compiled-plan replay: when set, multi-path transfers consult this
   /// template cache first. A hit replays the compiled template (skipping
   /// the theta solve, plan construction, and per-chunk setup); a miss
-  /// compiles the fresh plan into a template for next time. Replay falls
-  /// back to the uncompiled path whenever it could diverge from it: the
-  /// template is mid-replay, one of its paths is unhealthy, link
-  /// capacities changed since compile, or the scheduler sees contention
-  /// the compiled split did not. The cache must outlive the channel and be
-  /// destroyed before the engine's runtime. Null (default) disables
-  /// compiled replay entirely.
+  /// compiles the fresh plan into a template for next time. Templates are
+  /// reentrant, so concurrent same-key transfers replay one template.
+  /// Replay falls back to the uncompiled path whenever it could diverge
+  /// from it: one of the template's paths is unhealthy, link capacities
+  /// changed since compile, or the scheduler sees contention the compiled
+  /// split did not. The cache must outlive the channel. Null (default)
+  /// disables compiled replay entirely.
   GraphCache* graphs = nullptr;
 };
 
 /// Monotonic counters describing compiled-graph usage on a channel.
 struct GraphUseStats {
   std::uint64_t compiles = 0;          ///< templates built (cache misses)
-  std::uint64_t compile_failures = 0;  ///< staging pool full; uncompiled
   std::uint64_t replays = 0;           ///< cache-hit fast-path executions
   std::uint64_t replays_fresh = 0;     ///< executions right after a compile
-  std::uint64_t busy_fallbacks = 0;    ///< template mid-replay
+  /// Always 0: templates are reentrant, so a template mid-replay no longer
+  /// sends a transfer down the uncompiled path. Kept because the perfbench
+  /// report reads it (pipeline.graph.busy_fallbacks_per_transfer).
+  std::uint64_t busy_fallbacks = 0;
   std::uint64_t health_fallbacks = 0;  ///< a template path is unhealthy
   std::uint64_t epoch_fallbacks = 0;   ///< link capacities changed
   std::uint64_t contended_rejects = 0; ///< scheduler refused admit_replay
@@ -177,15 +179,14 @@ class ModelDrivenChannel final : public gpusim::DataChannel {
   /// Calibration version templates are stamped with (0 = no store).
   [[nodiscard]] std::uint64_t graph_cal_version() const;
   /// Cache lookup plus every replay-safety gate that does not need the
-  /// scheduler: busy templates, unhealthy template paths, and (on scheduled
-  /// channels) superseded capacity epochs all return nullptr — the caller
-  /// then takes the uncompiled path.
+  /// scheduler: unhealthy template paths and (on scheduled channels)
+  /// superseded capacity epochs return nullptr — the caller then takes the
+  /// uncompiled path.
   [[nodiscard]] std::shared_ptr<TransferGraph> find_replayable(
       topo::DeviceId src, topo::DeviceId dst, std::uint64_t bytes,
       const std::vector<topo::PathPlan>& paths);
   /// Compile `config` into a template, stamp it with the current capacity
-  /// epoch, and insert it into the cache. Returns nullptr (and counts a
-  /// compile failure) when the staging pool has no free slot.
+  /// epoch, and insert it into the cache.
   [[nodiscard]] std::shared_ptr<TransferGraph> compile_template(
       topo::DeviceId src, topo::DeviceId dst,
       const model::TransferConfig& config);

@@ -8,9 +8,10 @@
 // tap — into one CollectiveGraph: a chained template of TransferGraph
 // steps grouped into rounds. The first invocation records the transfer DAG
 // (capture), the seal compiles one private graph per step, and later
-// invocations replay step graphs as each message reaches the channel, with
-// only parameter patching (TransferGraph::patch per step) when the payload
-// size changes.
+// invocations with the same payload replay step graphs as each message
+// reaches the channel. The payload is part of the chain's identity: a new
+// payload captures a chain of its own, so every replayed split is the one
+// a fresh plan would pick at that size.
 //
 // Scheduled stacks admit a replayed round through
 // TransferScheduler::admit_chain: ONE JointThetaSolver water-fill over the
@@ -31,18 +32,18 @@
 // squeezed, so fresh solves equal compiled solos); refused rounds fall back
 // to per-step fresh admission with per-cause stats.
 //
-// Invalidation causes (per-cause counters in ChainStats): a step template
-// mid-replay (busy — step falls back, chain survives), link-capacity epoch
-// superseded, calibration version superseded, step-key/size mismatch
-// (algorithm drift), contended round (admit_chain refusal — round falls
-// back, chain survives), and patch failure (step dropped to passthrough).
-// A killed chain is removed from the cache and recaptured on the next
-// invocation.
+// Invalidation causes (per-cause counters in ChainStats): link-capacity
+// epoch superseded, calibration version superseded, step-key/size mismatch
+// (algorithm drift), and contended round (admit_chain refusal — round
+// falls back, chain survives). A killed chain is removed from the cache and
+// recaptured on the next invocation. Step templates are plans only: every
+// step replay acquires and returns its own staging lease and events, so
+// steps sharing a template may replay concurrently.
 //
-// Lifetime: chains hold TransferGraphs, which borrow events/staging from
-// the runtime — destroy the controller (or clear() it) before the runtime,
-// and clear the World's transfer tap (destroy the World) before the
-// controller. Single-threaded like the rest of the engine.
+// Lifetime: on scheduled channels a controller unwinds unclaimed round
+// tickets when it is cleared or destroyed — destroy it before the
+// scheduler, and clear the World's transfer tap (destroy the World) before
+// the controller. Single-threaded like the rest of the engine.
 #pragma once
 
 #include <cstdint>
@@ -61,14 +62,14 @@ class ModelDrivenChannel;
 class ChainController;
 
 /// Identity of a captured collective: one cache entry per tuple. The
-/// payload is an attribute, not part of the key — a lookup with a new
-/// payload re-patches the resident chain in place (the whole point of
-/// parameter patching) instead of growing a second template.
+/// payload is part of the key, so one collective alternating two payloads
+/// keeps one chain per payload instead of recapturing on every switch.
 struct ChainKey {
   std::string name;           ///< collective name ("allreduce-rhd", ...)
   int world = 0;              ///< communicator size
   int algo = 0;               ///< algorithm id (disambiguates same name)
   int variant = 0;            ///< extra identity (e.g. broadcast root)
+  std::uint64_t payload = 0;  ///< the collective's byte size
   friend bool operator==(const ChainKey&, const ChainKey&) = default;
 };
 
@@ -80,11 +81,7 @@ struct ChainStats {
   std::uint64_t bypasses = 0;            ///< enter() during another chain
   std::uint64_t replayed_steps = 0;      ///< steps run via chain fast path
   std::uint64_t passthrough_steps = 0;   ///< chain steps with no template
-  std::uint64_t patches = 0;             ///< payload re-patches applied
-  std::uint64_t patch_failures = 0;      ///< steps dropped on patch
-  std::uint64_t compile_failures = 0;    ///< seal-time compile soft-fails
   // -- invalidation causes --------------------------------------------------
-  std::uint64_t busy_fallbacks = 0;      ///< step template mid-replay
   std::uint64_t epoch_kills = 0;         ///< link capacities changed
   std::uint64_t stale_cal_kills = 0;     ///< calibration superseded
   std::uint64_t mismatch_kills = 0;      ///< step key/size drifted
@@ -106,18 +103,12 @@ class CollectiveGraph {
     std::uint64_t bytes = 0;
     int rel_tag = 0;
     std::uint32_t round = 0;  ///< index into rounds() (assigned at seal)
-    /// Compiled template; null = passthrough (small message, compile
-    /// failure, non-reproducible capture, or homogeneity drop). Steps with
-    /// identical (src_dev, dst_dev, bytes) share one template.
+    /// Compiled template; null = passthrough (small message or
+    /// non-reproducible capture). Steps with identical (src_dev, dst_dev,
+    /// bytes) share one template.
     GraphPtr graph;
     model::TransferConfig config;  ///< recorded at capture (if has_config)
     bool has_config = false;
-    /// A payload re-patch dropped this step's template (below the
-    /// multipath threshold, or the template refused the new size). A later
-    /// re-patch that would lift the step back above the threshold kills
-    /// the chain instead of patching, so recapture restores the lost
-    /// template rather than replaying passthrough forever.
-    bool patch_dropped = false;
   };
 
   /// One round (relative tag) of the collective, with its per-iteration
@@ -144,7 +135,6 @@ class CollectiveGraph {
   }
 
   [[nodiscard]] const ChainKey& key() const { return key_; }
-  [[nodiscard]] std::uint64_t payload() const { return payload_; }
   [[nodiscard]] State state() const { return state_; }
   [[nodiscard]] std::size_t step_count() const { return steps_.size(); }
   [[nodiscard]] std::size_t round_count() const { return rounds_.size(); }
@@ -161,12 +151,11 @@ class CollectiveGraph {
   friend class ChainController;
 
   ChainKey key_;
-  std::uint64_t payload_ = 0;  ///< the collective's byte-size identity
   State state_ = State::kCapturing;
   std::vector<Step> steps_;
   std::vector<Round> rounds_;
   std::unordered_map<std::uint64_t, std::uint32_t> index_;  ///< key -> step
-  std::uint64_t capacity_epoch_ = 0;  ///< scheduler epoch at seal/patch
+  std::uint64_t capacity_epoch_ = 0;  ///< scheduler epoch at seal
   std::uint64_t cal_version_ = 0;     ///< calibration version at seal
   bool aborted_ = false;              ///< capture overflow / duplicate key
 };
@@ -206,9 +195,9 @@ class ChainController {
 
   // -- collective scope (called by the collectives via ChainScope) ---------
   /// A rank is entering the named collective whose tags start at
-  /// `base_tag`. The first rank in resolves the chain (cached -> replay
-  /// iteration, possibly re-patched to `payload`; otherwise a fresh
-  /// capture); later ranks join. Returns false — an inert scope — when a
+  /// `base_tag`. The first rank in resolves the chain for (name, world,
+  /// algo, variant, payload) (cached -> replay iteration; otherwise a
+  /// fresh capture); later ranks join. Returns false — an inert scope — when a
   /// different collective invocation is already active (overlap is not
   /// chainable) or chaining is disabled for this channel shape.
   [[nodiscard]] bool enter(const char* name, int world, std::uint64_t payload,
@@ -226,7 +215,7 @@ class ChainController {
   /// Consume the pending step staged by the tap for the transfer that is
   /// now executing (empty when no chain invocation is active).
   [[nodiscard]] Pending take_pending();
-  /// Gate + claim a replay step: checks busy/epoch, and on scheduled
+  /// Gate + claim a replay step: checks the epoch, and on scheduled
   /// channels admits the step's whole round through admit_chain on first
   /// touch. A null graph means the caller takes the normal path (cause
   /// already counted; the chain may have been killed).
@@ -240,38 +229,26 @@ class ChainController {
   [[nodiscard]] const ChainStats& stats() const { return stats_; }
   [[nodiscard]] std::size_t cache_size() const { return cache_.size(); }
   [[nodiscard]] const ChainOptions& options() const { return options_; }
-  /// Drop every cached chain (releases their templates' events/staging).
+  /// Drop every cached chain (unwinding any unclaimed round tickets).
   void clear();
 
  private:
   using ChainPtr = std::shared_ptr<CollectiveGraph>;
 
-  /// Resolve the cache entry for (key, payload): exact hit, a payload
-  /// re-patch of the resident entry, or null (capture needed). Stale
+  /// The cached chain for `key`, or null (capture needed). Stale
   /// calibration / superseded capacity epochs kill the resident entry.
-  [[nodiscard]] ChainPtr resolve(const ChainKey& key, std::uint64_t payload);
-  /// Compile per-step templates, group rounds, enforce round homogeneity
-  /// (scheduled), stamp versions, and publish the chain as Ready.
+  [[nodiscard]] ChainPtr resolve(const ChainKey& key);
+  /// Compile per-step templates, group rounds, stamp versions, and publish
+  /// the chain as Ready.
   void seal(const ChainPtr& chain);
   /// Group template-carrying steps into rounds by relative tag.
   void build_rounds(CollectiveGraph& chain);
-  /// Depart the (admitted, unclaimed) ticket of one step that is falling
-  /// back to the fresh path, so its phantom does not distort the ledger
-  /// while the fresh admission runs.
-  void release_step_ticket(CollectiveGraph& chain, std::uint32_t step_idx);
-  /// Proportionally re-split every step for a new payload; steps whose
-  /// template cannot patch drop to passthrough. False = not patchable at
-  /// all (caller recaptures).
-  [[nodiscard]] bool repatch(const ChainPtr& chain, std::uint64_t payload);
   /// Mark the chain dead for `cause` (a ChainStats member), unwind every
   /// pre-admitted unclaimed ticket, and drop it from the cache.
   void kill(CollectiveGraph& chain, std::uint64_t ChainStats::* cause);
   /// Unwind the unclaimed tickets of every admitted round (chain death or
   /// iteration end).
   void unwind_unclaimed(CollectiveGraph& chain);
-  /// Drop templates from rounds where not every multipath step compiled,
-  /// so a scheduled round is never half chain-admitted, half fresh.
-  void enforce_round_homogeneity(CollectiveGraph& chain);
   void reset_iteration(CollectiveGraph& chain);
   [[nodiscard]] std::uint64_t scheduler_epoch() const;
 

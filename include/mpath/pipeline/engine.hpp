@@ -15,15 +15,18 @@
 // Section 3.4. Each issued operation costs host time, which is what makes
 // path initiation sequential — the effect Algorithm 1 line 18 models.
 //
-// One private driver issues every transfer. It walks per-path state
-// (TransferGraph::Path): execute_monitored prepares that state for a single
-// transfer and releases it afterwards; compile_graph prepares it once and
-// replay walks it again per message.
+// One private driver issues every transfer. It walks a per-path plan
+// (TransferGraph::Path): execute_monitored builds that plan for a single
+// transfer on its own frame; compile_graph builds it once and replay walks
+// it again per message. Either way the driver acquires the execution's
+// staging leases and events itself and returns them as the paths drain, so
+// a plan holds no resources between executions.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "mpath/gpusim/runtime.hpp"
@@ -106,31 +109,29 @@ class PipelineEngine {
       PathWatchList watch);
 
   /// Compile `config` into a reusable TransferGraph template: the same
-  /// per-path state execute_monitored prepares for one transfer (streams,
-  /// chunk tables, events, a staging slot per staged share), kept across
-  /// replays. Takes no simulated time: staging uses the non-blocking
-  /// try_acquire, and compile returns nullptr when a slot is unavailable
-  /// right now — callers fall back to the uncompiled path rather than
-  /// deadlocking the pool with persistent leases. Throws
-  /// std::invalid_argument on malformed or empty configs.
+  /// per-path plan execute_monitored builds for one transfer (streams,
+  /// chunk tables), kept across replays. Host-side only: it takes no
+  /// simulated time and reserves nothing. Throws std::invalid_argument on
+  /// malformed or empty configs.
   [[nodiscard]] std::shared_ptr<TransferGraph> compile_graph(
       topo::DeviceId src_dev, topo::DeviceId dst_dev,
       const model::TransferConfig& config);
 
   /// Execute a compiled template: the issue driver behind execute_monitored
-  /// walks the template's per-path state — no theta solve, no plan
-  /// construction, no per-chunk setup — so the runtime-call / issue-cost
-  /// sequence (and the rng draws under jitter) is the uncompiled one by
-  /// construction. `watch` must be empty or sized like
-  /// graph->config().paths. Throws std::logic_error if the graph is already
-  /// replaying (templates are not reentrant), std::invalid_argument on
-  /// endpoint/graph mismatches.
+  /// walks the template's per-path plan — no theta solve, no plan
+  /// construction, no per-chunk setup — so the staging acquisitions, the
+  /// runtime-call / issue-cost sequence and the rng draws under jitter are
+  /// the uncompiled ones by construction. Reentrant: replays of one
+  /// template may overlap, each with its own resources. `watch` must be
+  /// empty or sized like graph->config().paths. Throws
+  /// std::invalid_argument on endpoint/graph mismatches.
   [[nodiscard]] sim::Task<TransferOutcome> replay(
       std::shared_ptr<TransferGraph> graph, gpusim::DeviceBuffer& dst,
       std::size_t dst_offset, const gpusim::DeviceBuffer& src,
       std::size_t src_offset, PathWatchList watch);
 
   [[nodiscard]] gpusim::GpuRuntime& runtime() { return *runtime_; }
+  [[nodiscard]] const StagingPool& staging() const { return staging_; }
   [[nodiscard]] std::uint64_t transfers_executed() const {
     return transfers_;
   }
@@ -147,26 +148,22 @@ class PipelineEngine {
   };
 
   using PathState = TransferGraph::Path;
-  using PathStates = util::SmallVec<PathState, 4>;
 
   /// Share `index` of a plan, `offset` bytes into the message: streams,
-  /// chunk tables and the host-sync penalty. Staged paths still need
-  /// bind_staging().
+  /// chunk tables and the host-sync penalty.
   PathState path_state(topo::DeviceId src_dev, topo::DeviceId dst_dev,
                        std::size_t index, const topo::PathPlan& plan,
                        std::uint64_t bytes, int chunks, std::size_t offset);
-  /// Give a staged path its double-buffered staging lease and reserve its
-  /// per-chunk forward/backward events.
-  void bind_staging(PathState& path, StagingPool::Lease lease);
-  /// The one issue driver: arm the watchdogs, issue chunk r of every path
-  /// before chunk r+1 of any, drain (staged paths first) and assemble the
-  /// outcome, parallel to a plan of `plan_size` shares. With
-  /// `release_leases` each staged lease returns to the pool the moment its
-  /// path drains; a template keeps its leases.
+  /// The one issue driver: acquire each staged path's staging lease and
+  /// events in plan order, arm the watchdogs, issue chunk r of every path
+  /// before chunk r+1 of any, drain (staged paths first, each lease
+  /// returning as its path drains), release the events and assemble the
+  /// outcome, parallel to a plan of `plan_size` shares.
   [[nodiscard]] sim::Task<TransferOutcome> drive(
-      PathStates& paths, std::size_t plan_size, gpusim::DeviceBuffer& dst,
-      std::size_t dst_offset, const gpusim::DeviceBuffer& src,
-      std::size_t src_offset, PathWatchList watch, bool release_leases);
+      std::span<const PathState> paths, std::size_t plan_size,
+      gpusim::DeviceBuffer& dst, std::size_t dst_offset,
+      const gpusim::DeviceBuffer& src, std::size_t src_offset,
+      PathWatchList watch);
   gpusim::StreamId stream_for(const StreamKey& key, topo::DeviceId device);
   [[nodiscard]] sim::Engine::DelayAwaiter issue_cost();
 

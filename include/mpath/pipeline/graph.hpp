@@ -4,26 +4,26 @@
 // capture the chunk-op DAG once, then replay it at ~zero launch cost, with
 // the captured graph *being* the execution plan. This mirrors that shape in
 // the simulator: PipelineEngine::compile_graph bakes a TransferConfig into a
-// TransferGraph holding the per-path state the engine's one issue driver
-// walks (resolved streams, reserved events, a persistent staging slot per
-// staged share, chunk tables), and PipelineEngine::replay runs that driver
-// over it. execute_monitored prepares the same state for one transfer and
-// runs the same driver, so there is no second op sequence to keep in step.
-// A GraphCache keyed like the config cache makes the steady state: lookup,
-// replay, done — no theta solve, no plan construction, no per-chunk setup.
+// TransferGraph holding the per-path plan the engine's one issue driver
+// walks (resolved streams, chunk tables), and PipelineEngine::replay runs
+// that driver over it. execute_monitored builds the same plan for one
+// transfer on its own frame and runs the same driver, so there is no second
+// op sequence to keep in step. A GraphCache keyed like the config cache
+// makes the steady state: lookup, replay, done — no theta solve, no plan
+// construction, no per-chunk setup.
 //
-// Replay is timing-identical to the uncompiled path by construction (same
-// driver, and compile itself takes no simulated time). The one intentional
-// divergence is resource residency — a graph keeps its staging lease and
-// events across replays — so identity holds whenever the staging pool is
-// uncontended (sized at least as large as the live template + transfer
-// count per device).
+// A template is a plan, not a resource holder: every execution, fresh or
+// replayed, acquires its own staging leases and events through the same
+// blocking StagingPool::acquire and returns them as it drains. Templates
+// are therefore reentrant (any number of replays of one template may be in
+// flight), never starve the staging pool, and replay is timing-identical to
+// the uncompiled path by construction (same driver, same acquisitions, and
+// compile itself takes no simulated time).
 //
-// Lifetime: a graph borrows streams/events/staging from the runtime that
-// compiled it; graphs (and any cache holding them) must be destroyed before
-// that runtime. Graphs are shared_ptr-held so LRU eviction while a replay
-// is executing is safe (the replay frame keeps its snapshot alive — the
-// same by-value discipline as the PR 6 config-cache fix).
+// Lifetime: a graph names streams of the PipelineEngine that compiled it
+// and replays only there. Graphs are shared_ptr-held so LRU eviction while
+// a replay is executing is safe (the replay frame keeps its snapshot alive
+// — the same by-value discipline as the PR 6 config-cache fix).
 #pragma once
 
 #include <cstdint>
@@ -36,7 +36,6 @@
 
 #include "mpath/gpusim/runtime.hpp"
 #include "mpath/model/configurator.hpp"
-#include "mpath/pipeline/staging.hpp"
 #include "mpath/topo/paths.hpp"
 #include "mpath/util/small_vec.hpp"
 
@@ -44,15 +43,16 @@ namespace mpath::pipeline {
 
 class PipelineEngine;
 
-/// A reusable compiled transfer template for one (src, dst, bytes,
+/// A reusable compiled transfer plan for one (src, dst, bytes,
 /// candidate-path-set) tuple. Built by PipelineEngine::compile_graph;
 /// executed by PipelineEngine::replay. Default-constructed graphs are empty
-/// shells (no resources) — valid() is false; the cache machinery accepts
-/// them, which is what the concurrent cache tests exercise.
+/// shells — valid() is false; the cache machinery accepts them, which is
+/// what the concurrent cache tests exercise.
 class TransferGraph {
  public:
-  /// Per-path issue state: what PipelineEngine's issue driver walks, kept
-  /// across replays here and prepared per transfer by execute_monitored.
+  /// One path's share of the plan: what PipelineEngine's issue driver
+  /// walks, kept across replays here and built per transfer by
+  /// execute_monitored.
   struct Path {
     topo::PathPlan plan;
     std::uint64_t bytes = 0;
@@ -63,10 +63,6 @@ class TransferGraph {
     double extra_sync_s = 0.0;
     gpusim::StreamId first_stream = 0;
     gpusim::StreamId second_stream = 0;
-    std::size_t slot_bytes = 0;  ///< staging slot capacity (half the buffer)
-    StagingPool::Lease lease;    ///< persistent staging reservation
-    util::SmallVec<gpusim::EventId, 16> fwd_events;
-    util::SmallVec<gpusim::EventId, 16> bwd_events;
     util::SmallVec<std::size_t, 16> chunk_offsets;
     util::SmallVec<std::size_t, 16> chunk_sizes;
 
@@ -75,11 +71,6 @@ class TransferGraph {
     /// longer (empty tables for an idle path).
     void split_chunks();
   };
-
-  TransferGraph() = default;
-  ~TransferGraph();
-  TransferGraph(const TransferGraph&) = delete;
-  TransferGraph& operator=(const TransferGraph&) = delete;
 
   [[nodiscard]] bool valid() const { return runtime_ != nullptr; }
   [[nodiscard]] topo::DeviceId src_device() const { return src_dev_; }
@@ -90,16 +81,11 @@ class TransferGraph {
   [[nodiscard]] std::span<const topo::PathPlan> key_paths() const {
     return key_paths_;
   }
-  /// The compiled configuration (by-value snapshot; patch() keeps its byte
-  /// shares, thetas, and predicted times in sync with the template).
+  /// The compiled configuration (by-value snapshot).
   [[nodiscard]] const model::TransferConfig& config() const { return config_; }
   [[nodiscard]] std::span<const Path> paths() const {
     return {paths_.data(), paths_.size()};
   }
-  /// A replay of this template is currently executing. Templates are not
-  /// reentrant (they share events and the staging slot); callers fall back
-  /// to the uncompiled path instead of queueing.
-  [[nodiscard]] bool busy() const { return busy_; }
   [[nodiscard]] std::uint64_t replays() const { return replays_; }
   /// Scheduler capacity-event count at compile time: a joint-theta channel
   /// refuses to replay a template compiled under superseded link
@@ -108,17 +94,6 @@ class TransferGraph {
     return capacity_epoch_;
   }
   void set_capacity_epoch(std::uint64_t epoch) { capacity_epoch_ = epoch; }
-
-  /// Re-split the template for a new total size, keeping the compiled theta
-  /// split points and chunk counts: per-path bytes are re-derived exactly
-  /// as config_from_theta would (floor(theta_i * n), remainder to the
-  /// anchor), chunk arrays are rebuilt, and the config's byte shares and
-  /// predicted times are refreshed. Returns false — leaving the template
-  /// untouched — when the new size does not fit the compiled resources
-  /// (a staged chunk would overflow its staging slot, or a share that
-  /// compiled to zero bytes would need resources it never acquired);
-  /// callers then recompile. patch(total_bytes()) is a no-op.
-  [[nodiscard]] bool patch(std::uint64_t new_bytes);
 
  private:
   friend class PipelineEngine;
@@ -130,7 +105,6 @@ class TransferGraph {
   std::vector<topo::PathPlan> key_paths_;
   model::TransferConfig config_;
   util::SmallVec<Path, 4> paths_;  ///< active (bytes > 0) shares only
-  bool busy_ = false;
   std::uint64_t replays_ = 0;
   std::uint64_t capacity_epoch_ = 0;
 };
@@ -139,9 +113,8 @@ using GraphPtr = std::shared_ptr<TransferGraph>;
 
 struct GraphCacheOptions {
   /// Maximum cached templates; least-recently-used entries are evicted past
-  /// this (releasing their staging slot and events unless a replay still
-  /// holds the graph). 0 = unbounded. Size this at most as large as the
-  /// staging pool's buffers_per_device, or templates starve transfers.
+  /// this. 0 = unbounded. Templates hold no staging buffers or events, so
+  /// the bound is host memory only.
   std::size_t capacity = 32;
   /// Key width test hook, exactly as ConfiguratorOptions::cache_key_bits:
   /// narrowing forces FNV collisions between distinct tuples.

@@ -61,14 +61,6 @@ class StagingPool {
                                          std::size_t bytes,
                                          topo::DeviceId initiator);
 
-  /// Non-blocking acquire: returns an invalid Lease when the pool has no
-  /// free slot instead of waiting. Used by the graph compiler, which holds
-  /// a slot persistently and must never deadlock against per-transfer
-  /// acquisitions. When a slot is free this is indistinguishable from
-  /// acquire() (the uncontended path takes no engine events either way).
-  [[nodiscard]] Lease try_acquire(topo::DeviceId device, std::size_t bytes,
-                                  topo::DeviceId initiator);
-
   [[nodiscard]] std::size_t buffers_per_device() const { return capacity_; }
   /// Buffers currently leased on `device` by `initiator`.
   [[nodiscard]] std::size_t in_use(topo::DeviceId device,

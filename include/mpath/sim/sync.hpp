@@ -39,15 +39,6 @@ class Semaphore {
   };
   [[nodiscard]] Acquirer acquire() { return Acquirer{this}; }
 
-  /// Non-blocking acquire: takes a permit iff one is free right now. Same
-  /// fast path as an uncontended co_await acquire() (no engine events), so
-  /// callers that fall back on failure never perturb simulated time.
-  [[nodiscard]] bool try_acquire() {
-    if (count_ == 0) return false;
-    --count_;
-    return true;
-  }
-
   /// Release one permit. If a coroutine is waiting, the permit passes
   /// directly to it (resumed via the event queue at the current time).
   void release() {

@@ -134,12 +134,6 @@ std::shared_ptr<TransferGraph> ModelDrivenChannel::find_replayable(
   std::shared_ptr<TransferGraph> g =
       options_.graphs->lookup(src, dst, bytes, paths, graph_cal_version());
   if (g == nullptr) return nullptr;
-  if (g->busy()) {
-    // Templates are not reentrant (shared events + staging slot); a second
-    // identical transfer in flight takes the uncompiled path.
-    ++graph_stats_.busy_fallbacks;
-    return nullptr;
-  }
   if (options_.health.enabled) {
     for (const topo::PathPlan& plan : g->key_paths()) {
       if (health_.state(src, dst, plan) != PathHealth::kHealthy) {
@@ -169,10 +163,6 @@ std::shared_ptr<TransferGraph> ModelDrivenChannel::compile_template(
     const model::TransferConfig& config) {
   std::shared_ptr<TransferGraph> g =
       engine_->compile_graph(src, dst, config);
-  if (g == nullptr) {
-    ++graph_stats_.compile_failures;
-    return nullptr;
-  }
   ++graph_stats_.compiles;
   if (scheduler_ != nullptr) {
     g->set_capacity_epoch(scheduler_->stats().capacity_events);
@@ -223,8 +213,8 @@ sim::Task<void> ModelDrivenChannel::transfer(gpusim::DeviceBuffer& dst,
                            dst_offset, src, src_offset);
       co_return;
     }
-    // Unclaimable (busy template, contended round, passthrough, or the
-    // chain just died): fall through to the normal path.
+    // Unclaimable (contended round, passthrough, or the chain just died):
+    // fall through to the normal path.
   }
   graph_stats_.plan_ns += plan_ns_since(plan_t0);
   const UncapturedOutcome unc =
@@ -286,7 +276,7 @@ ModelDrivenChannel::transfer_uncaptured(gpusim::DeviceBuffer& dst,
     std::shared_ptr<TransferGraph> g;
     if (options_.graphs != nullptr && adm.uncontended) {
       g = compile_template(src.device(), dst.device(), adm.config);
-      if (g != nullptr) ++graph_stats_.replays_fresh;
+      ++graph_stats_.replays_fresh;
     }
     // An uncontended joint solve is the solo configuration — reproducible;
     // a contended one depends on the live flows at this exact instant.
@@ -312,7 +302,7 @@ ModelDrivenChannel::transfer_uncaptured(gpusim::DeviceBuffer& dst,
     cfg = configurator_->configure(src.device(), dst.device(), bytes, paths);
     if (options_.graphs != nullptr) {
       g = compile_template(src.device(), dst.device(), cfg);
-      if (g != nullptr) ++graph_stats_.replays_fresh;
+      ++graph_stats_.replays_fresh;
     }
   }
   last_config_ = cfg;
@@ -391,6 +381,12 @@ sim::Task<void> ModelDrivenChannel::transfer_with_recovery(
   double first_timeout = -1.0;
   ScheduleGuard guard;
   guard.sched = scheduler_;
+  // The current attempt's configuration. A by-value snapshot, NOT a
+  // reference into the configurator's LRU cache, and never last_config_:
+  // it is read again after co_await, by when a concurrent transfer on the
+  // same configurator could have evicted the entry or overwritten the
+  // shared member.
+  model::TransferConfig config;
 
   while (!todo.empty()) {
     const Seg seg = todo.back();
@@ -427,7 +423,7 @@ sim::Task<void> ModelDrivenChannel::transfer_with_recovery(
     // Compiling additionally requires the planned pool to be the whole
     // candidate set with no probe slices: a template is keyed under (and
     // replays) the full-tuple plan only — a subset config would compile an
-    // unfindable template and strand its staging slot.
+    // unfindable template.
     const bool compile_eligible = replay_shape && probe_due.empty() &&
                                   pool->size() == candidates.size();
     std::shared_ptr<TransferGraph> graph;
@@ -436,11 +432,6 @@ sim::Task<void> ModelDrivenChannel::transfer_with_recovery(
       graph = find_replayable(sdev, ddev, seg.bytes, candidates);
       graph_from_cache = graph != nullptr;
     }
-    // By-value snapshot, NOT a reference into the configurator's LRU cache:
-    // this config is read again after co_await execute_monitored below, and
-    // any concurrent transfer on the same configurator could evict the
-    // entry mid-await — a use-after-free with a shared bounded cache.
-    model::TransferConfig config;
     bool uncontended = scheduler_ == nullptr;
     if (graph != nullptr && scheduler_ != nullptr) {
       TransferScheduler::Admission adm = scheduler_->admit_replay(
@@ -616,12 +607,11 @@ sim::Task<void> ModelDrivenChannel::transfer_with_recovery(
   if (first_timeout >= 0.0) {
     ++stats_.transfers_recovered;
     stats_.recovery_time_s += eng.now() - first_timeout;
-  } else if (options_.recalibrator != nullptr && last_config_.has_value()) {
+  } else if (options_.recalibrator != nullptr) {
     // Clean single-plan completion: feed (predicted, actual) back for
     // online alpha/beta refinement. Transfers that tripped a watchdog are
     // excluded — a stall is a fault for the health machine, not drift.
-    options_.recalibrator->observe(sdev, ddev, *last_config_,
-                                   eng.now() - t0);
+    options_.recalibrator->observe(sdev, ddev, config, eng.now() - t0);
   }
 }
 

@@ -54,8 +54,8 @@ bool ChainController::enter(const char* name, int world, std::uint64_t payload,
     ++stats_.bypasses;
     return false;
   }
-  ChainKey key{name, world, algo, variant};
-  ChainPtr chain = resolve(key, payload);
+  ChainKey key{name, world, algo, variant, payload};
+  ChainPtr chain = resolve(key);
   if (chain != nullptr) {
     reset_iteration(*chain);
     capturing_ = false;
@@ -63,7 +63,6 @@ bool ChainController::enter(const char* name, int world, std::uint64_t payload,
   } else {
     chain = std::make_shared<CollectiveGraph>();
     chain->key_ = std::move(key);
-    chain->payload_ = payload;
     chain->state_ = CollectiveGraph::State::kCapturing;
     capturing_ = true;
     ++stats_.iterations_captured;
@@ -94,8 +93,7 @@ void ChainController::leave() {
   pending_ = {};
 }
 
-ChainController::ChainPtr ChainController::resolve(const ChainKey& key,
-                                                   std::uint64_t payload) {
+ChainController::ChainPtr ChainController::resolve(const ChainKey& key) {
   for (auto it = cache_.begin(); it != cache_.end(); ++it) {
     if ((*it)->key_ != key) continue;
     ChainPtr chain = *it;
@@ -109,12 +107,6 @@ ChainController::ChainPtr ChainController::resolve(const ChainKey& key,
       kill(*chain, &ChainStats::epoch_kills);
       return nullptr;
     }
-    if (chain->payload_ != payload && !repatch(chain, payload)) {
-      // The new payload does not scale the captured structure linearly;
-      // recapture from scratch.
-      kill(*chain, &ChainStats::mismatch_kills);
-      return nullptr;
-    }
     cache_.splice(cache_.begin(), cache_, it);
     return chain;
   }
@@ -125,38 +117,23 @@ void ChainController::seal(const ChainPtr& chain) {
   CollectiveGraph& c = *chain;
   if (c.aborted_ || c.steps_.empty()) return;  // nothing usable; discard
   // One private template per distinct (src, dst, bytes) among the
-  // reproducible steps; identical steps share it (a same-instant collision
-  // at replay falls back via busy()). Templates are chain-owned — never
-  // shared with the channel's GraphCache, whose keys a payload re-patch
-  // would silently desynchronize.
+  // reproducible steps; identical steps share it (templates are reentrant,
+  // so a same-instant collision replays it twice). A recorded config has
+  // already executed, so it compiles; only an empty one would not.
   std::map<std::tuple<topo::DeviceId, topo::DeviceId, std::uint64_t>, GraphPtr>
       dedupe;
   for (CollectiveGraph::Step& step : c.steps_) {
-    if (!step.has_config) continue;
+    if (!step.has_config || step.bytes == 0) continue;
     const auto key = std::make_tuple(step.src_dev, step.dst_dev, step.bytes);
     auto it = dedupe.find(key);
     if (it != dedupe.end()) {
       step.graph = it->second;
       continue;
     }
-    GraphPtr g;
-    try {
-      g = channel_->engine_->compile_graph(step.src_dev, step.dst_dev,
-                                           step.config);
-    } catch (const std::invalid_argument&) {
-      g = nullptr;
-    }
-    if (g == nullptr) {
-      // Staging pool exhausted (or a degenerate config): the step stays
-      // passthrough; the rest of the chain is still worth keeping.
-      ++stats_.compile_failures;
-    } else if (channel_->scheduler() != nullptr) {
-      g->set_capacity_epoch(channel_->scheduler()->stats().capacity_events);
-    }
-    dedupe.emplace(key, g);
-    step.graph = std::move(g);
+    step.graph = channel_->engine_->compile_graph(step.src_dev, step.dst_dev,
+                                                  step.config);
+    dedupe.emplace(key, step.graph);
   }
-  if (channel_->scheduler() != nullptr) enforce_round_homogeneity(c);
   build_rounds(c);
   c.cal_version_ = channel_->graph_cal_version();
   c.capacity_epoch_ = scheduler_epoch();
@@ -167,7 +144,6 @@ void ChainController::seal(const ChainPtr& chain) {
 }
 
 void ChainController::build_rounds(CollectiveGraph& chain) {
-  chain.rounds_.clear();
   std::map<int, std::uint32_t> round_of;
   for (std::uint32_t i = 0;
        i < static_cast<std::uint32_t>(chain.steps_.size()); ++i) {
@@ -182,76 +158,6 @@ void ChainController::build_rounds(CollectiveGraph& chain) {
     step.round = it->second;
     chain.rounds_[it->second].steps.push_back(i);
   }
-}
-
-void ChainController::enforce_round_homogeneity(CollectiveGraph& chain) {
-  // A scheduled round is batch-admitted as a whole; a sibling multipath
-  // step going through *fresh* admission would water-fill against its
-  // round's pre-registered tickets. So a round either carries every one of
-  // its multipath steps as templates, or none.
-  std::set<int> bad_tags;
-  for (const CollectiveGraph::Step& step : chain.steps_) {
-    if (step.has_config && step.graph == nullptr) bad_tags.insert(step.rel_tag);
-  }
-  if (bad_tags.empty()) return;
-  for (CollectiveGraph::Step& step : chain.steps_) {
-    if (step.graph != nullptr && bad_tags.contains(step.rel_tag)) {
-      step.graph = nullptr;
-    }
-  }
-}
-
-bool ChainController::repatch(const ChainPtr& chain, std::uint64_t payload) {
-  CollectiveGraph& c = *chain;
-  const std::uint64_t old = c.payload_;
-  if (old == 0 || payload == 0) return false;
-  // Proportional rescale with exact divisibility: every step's size must
-  // scale by payload/old with no remainder, or the new payload would have
-  // produced a structurally different capture (different splits/rounds).
-  std::vector<std::uint64_t> scaled(c.steps_.size());
-  for (std::size_t i = 0; i < c.steps_.size(); ++i) {
-    const std::uint64_t b = c.steps_[i].bytes;
-    const std::uint64_t prod = b * payload;
-    if (b != 0 && prod / b != payload) return false;  // overflow
-    if (prod % old != 0) return false;
-    scaled[i] = prod / old;
-    if (b != 0 && scaled[i] == 0) return false;
-    if (c.steps_[i].patch_dropped &&
-        scaled[i] >= channel_->options().min_multipath_bytes) {
-      // An earlier re-patch dropped this step's template; the new payload
-      // wants it multipath again. Only a recapture can rebuild it.
-      return false;
-    }
-  }
-  std::map<TransferGraph*, bool> patched;
-  for (std::size_t i = 0; i < c.steps_.size(); ++i) {
-    CollectiveGraph::Step& step = c.steps_[i];
-    if (step.graph != nullptr) {
-      if (scaled[i] < channel_->options().min_multipath_bytes) {
-        // The uncaptured channel would go direct at this size; a multipath
-        // replay would diverge from it. Drop to passthrough.
-        step.graph = nullptr;
-        step.patch_dropped = true;
-        ++stats_.patch_failures;
-      } else {
-        // Shared templates (same src/dst/bytes tuple) patch once; the
-        // verdict applies to every sharer identically.
-        const auto [it, fresh] = patched.emplace(step.graph.get(), false);
-        if (fresh) it->second = step.graph->patch(scaled[i]);
-        if (!it->second) {
-          step.graph = nullptr;
-          step.patch_dropped = true;
-          ++stats_.patch_failures;
-        }
-      }
-    }
-    step.bytes = scaled[i];
-  }
-  c.payload_ = payload;
-  if (channel_->scheduler() != nullptr) enforce_round_homogeneity(c);
-  build_rounds(c);
-  ++stats_.patches;
-  return true;
 }
 
 void ChainController::kill(CollectiveGraph& chain,
@@ -288,25 +194,6 @@ void ChainController::unwind_unclaimed(CollectiveGraph& chain) {
     sched->depart_chain(
         std::span<const TransferScheduler::TicketId>(victims));
     stats_.unwound_tickets += victims.size();
-  }
-}
-
-void ChainController::release_step_ticket(CollectiveGraph& chain,
-                                          std::uint32_t step_idx) {
-  TransferScheduler* sched = channel_->scheduler();
-  if (sched == nullptr) return;
-  CollectiveGraph::Round& round = chain.rounds_[chain.steps_[step_idx].round];
-  if (!round.admitted) return;
-  for (std::size_t i = 0; i < round.steps.size(); ++i) {
-    if (round.steps[i] == step_idx && round.claimed[i] == 0) {
-      const TransferScheduler::TicketId t = round.tickets[i];
-      round.claimed[i] = 1;
-      if (t != TransferScheduler::kInvalidTicket) {
-        sched->depart_chain(std::span<const TransferScheduler::TicketId>(&t, 1));
-        ++stats_.unwound_tickets;
-      }
-      return;
-    }
   }
 }
 
@@ -394,15 +281,6 @@ ChainController::Claim ChainController::claim_step(const Pending& p) {
   CollectiveGraph::Step& step = chain.steps_[p.step];
   if (step.graph == nullptr) {
     ++stats_.passthrough_steps;
-    return claim;
-  }
-  if (step.graph->busy()) {
-    // The shared template is mid-replay (identical concurrent step): this
-    // step alone falls back to the fresh path; the chain survives. Its
-    // pre-admitted ticket (if its round already batch-admitted) departs
-    // now so the fresh admission does not see its own phantom.
-    ++stats_.busy_fallbacks;
-    release_step_ticket(chain, p.step);
     return claim;
   }
   TransferScheduler* sched = channel_->scheduler();

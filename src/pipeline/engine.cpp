@@ -157,15 +157,6 @@ PipelineEngine::PathState PipelineEngine::path_state(
   return p;
 }
 
-void PipelineEngine::bind_staging(PathState& path, StagingPool::Lease lease) {
-  path.lease = std::move(lease);
-  path.slot_bytes = path.lease.buffer().size() / 2;
-  for (int c = 0; c < path.chunks; ++c) {
-    path.fwd_events.push_back(runtime_->acquire_event());
-    path.bwd_events.push_back(runtime_->acquire_event());
-  }
-}
-
 sim::Task<TransferOutcome> PipelineEngine::execute_monitored(
     gpusim::DeviceBuffer& dst, std::size_t dst_offset,
     const gpusim::DeviceBuffer& src, std::size_t src_offset, ExecPlan plan,
@@ -175,45 +166,23 @@ sim::Task<TransferOutcome> PipelineEngine::execute_monitored(
   src.check_region(src_offset, total);
   dst.check_region(dst_offset, total);
 
-  // Transient per-path state for this one transfer. Staged paths wait for
-  // a staging slot here, before any watchdog is armed: acquisition time is
-  // charged to the transfer, not to the deadline.
-  const topo::DeviceId src_dev = src.device();
-  PathStates paths;
+  // A transient plan for this one transfer, replayed once.
+  util::SmallVec<PathState, 4> paths;
   std::size_t offset = 0;
   for (std::size_t i = 0; i < plan.size(); ++i) {
     const ExecPath& spec = plan[i];
     if (spec.bytes == 0) continue;
-    PathState p = path_state(src_dev, dst.device(), i, spec.plan, spec.bytes,
-                             spec.chunks, offset);
+    paths.push_back(path_state(src.device(), dst.device(), i, spec.plan,
+                               spec.bytes, spec.chunks, offset));
     offset += spec.bytes;
-    if (p.staged) {
-      bind_staging(p, co_await staging_.acquire(
-                          p.plan.stage, 2 * p.chunk_sizes.front(), src_dev));
-    }
-    paths.push_back(std::move(p));
   }
-
-  TransferOutcome out =
-      co_await drive(paths, plan.size(), dst, dst_offset, src, src_offset,
-                     std::move(watch), /*release_leases=*/true);
-
-  // Recycle this transfer's events. All records have fired (the driver
-  // drained every stream), every waiter captured its latch at enqueue time,
-  // and late watchdog timers bail out on finished/timed-out entries before
-  // consulting events — so a reused id can never alias stale state.
-  for (PathState& p : paths) {
-    for (gpusim::EventId ev : p.fwd_events) runtime_->release_event(ev);
-    for (gpusim::EventId ev : p.bwd_events) runtime_->release_event(ev);
-  }
-  co_return out;
+  co_return co_await drive(paths, plan.size(), dst, dst_offset, src,
+                           src_offset, std::move(watch));
 }
 
 std::shared_ptr<TransferGraph> PipelineEngine::compile_graph(
     topo::DeviceId src_dev, topo::DeviceId dst_dev,
     const model::TransferConfig& config) {
-  // Validate the whole config first: a malformed config must not leak
-  // reserved events or staging slots.
   const std::uint64_t total = checked_total(config.paths);
   if (total == 0) {
     throw std::invalid_argument("PipelineEngine: cannot compile empty config");
@@ -234,18 +203,9 @@ std::shared_ptr<TransferGraph> PipelineEngine::compile_graph(
   for (std::size_t i = 0; i < config.paths.size(); ++i) {
     const model::PathShare& share = config.paths[i];
     if (share.bytes == 0) continue;
-    PathState p = path_state(src_dev, dst_dev, i, share.plan, share.bytes,
-                             share.chunks, offset);
+    graph->paths_.push_back(path_state(src_dev, dst_dev, i, share.plan,
+                                       share.bytes, share.chunks, offset));
     offset += share.bytes;
-    if (p.staged) {
-      StagingPool::Lease lease = staging_.try_acquire(
-          p.plan.stage, 2 * p.chunk_sizes.front(), src_dev);
-      // Pool exhausted: refuse to compile rather than block. The partial
-      // graph's destructor returns any already-reserved resources.
-      if (!lease.valid()) return nullptr;
-      bind_staging(p, std::move(lease));
-    }
-    graph->paths_.push_back(std::move(p));
   }
   return graph;
 }
@@ -262,10 +222,6 @@ sim::Task<TransferOutcome> PipelineEngine::replay(
     throw std::invalid_argument(
         "PipelineEngine: graph was compiled by a different runtime");
   }
-  if (g.busy_) {
-    throw std::logic_error(
-        "PipelineEngine: graph replay already in flight (not reentrant)");
-  }
   check_watch(watch, g.config_.paths.size());
   if (src.device() != g.src_dev_ || dst.device() != g.dst_dev_) {
     throw std::invalid_argument(
@@ -273,25 +229,40 @@ sim::Task<TransferOutcome> PipelineEngine::replay(
   }
   src.check_region(src_offset, g.total_bytes_);
   dst.check_region(dst_offset, g.total_bytes_);
-
-  g.busy_ = true;
   ++g.replays_;
-  struct BusyReset {
-    TransferGraph* g;
-    ~BusyReset() { g->busy_ = false; }
-  } busy_reset{&g};
-  // The template keeps its staging leases and events across replays: that
-  // is the point of compiling (persistent reservation, no per-transfer
-  // acquire).
   co_return co_await drive(g.paths_, g.config_.paths.size(), dst, dst_offset,
-                           src, src_offset, std::move(watch),
-                           /*release_leases=*/false);
+                           src, src_offset, std::move(watch));
 }
 
 sim::Task<TransferOutcome> PipelineEngine::drive(
-    PathStates& paths, std::size_t plan_size, gpusim::DeviceBuffer& dst,
-    std::size_t dst_offset, const gpusim::DeviceBuffer& src,
-    std::size_t src_offset, PathWatchList watch, bool release_leases) {
+    std::span<const PathState> paths, std::size_t plan_size,
+    gpusim::DeviceBuffer& dst, std::size_t dst_offset,
+    const gpusim::DeviceBuffer& src, std::size_t src_offset,
+    PathWatchList watch) {
+  // This execution's resources, parallel to `paths`: a staged path's
+  // double-buffered staging lease and its per-chunk forward/backward
+  // events. Leases are taken in plan order, before any watchdog is armed:
+  // waiting for a slot is charged to the transfer, not to its deadline.
+  struct Staging {
+    StagingPool::Lease lease;
+    util::SmallVec<gpusim::EventId, 16> fwd_events;
+    util::SmallVec<gpusim::EventId, 16> bwd_events;
+  };
+  util::SmallVec<Staging, 4> staging;
+  staging.resize(paths.size());
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    const PathState& p = paths[i];
+    if (!p.staged) continue;
+    Staging& st = staging[i];
+    st.lease = co_await staging_.acquire(p.plan.stage,
+                                         2 * p.chunk_sizes.front(),
+                                         src.device());
+    for (int c = 0; c < p.chunks; ++c) {
+      st.fwd_events.push_back(runtime_->acquire_event());
+      st.bwd_events.push_back(runtime_->acquire_event());
+    }
+  }
+
   bool any_watch = false;
   for (const PathWatch& w : watch) any_watch |= w.deadline_s > 0.0;
   std::shared_ptr<MonitorState> mon;
@@ -308,7 +279,8 @@ sim::Task<TransferOutcome> PipelineEngine::drive(
   };
 
   // -- monitor entries and accounting -----------------------------------------
-  for (const PathState& p : paths) {
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    const PathState& p = paths[i];
     if (mon != nullptr && watch[p.plan_index].deadline_s > 0.0) {
       MonitorState::Entry& e = mon->entries[p.plan_index];
       e.token = runtime_->make_cancel_token();
@@ -319,7 +291,7 @@ sim::Task<TransferOutcome> PipelineEngine::drive(
       // staging device, i.e. the chunk is visible at the destination.
       // Direct paths need no events at all: each chunk's copy reports its
       // own completion through a DoneHook (see the issue loop below).
-      if (p.staged) e.done_events = p.bwd_events;
+      if (p.staged) e.done_events = staging[i].bwd_events;
     }
     bytes_by_kind_[p.plan.kind] += p.bytes;
   }
@@ -346,7 +318,8 @@ sim::Task<TransferOutcome> PipelineEngine::drive(
   int max_rounds = 0;
   for (const PathState& p : paths) max_rounds = std::max(max_rounds, p.chunks);
   for (int r = 0; r < max_rounds; ++r) {
-    for (PathState& p : paths) {
+    for (std::size_t i = 0; i < paths.size(); ++i) {
+      const PathState& p = paths[i];
       if (r >= p.chunks) continue;
       MonitorState::Entry* e = watched(p);
       // Stop feeding a path whose watchdog already gave up on it.
@@ -370,19 +343,20 @@ sim::Task<TransferOutcome> PipelineEngine::drive(
         co_await issue_cost();
         continue;
       }
-      gpusim::DeviceBuffer& stage = p.lease.buffer();
-      const std::size_t slot_off = (c % 2) * p.slot_bytes;
+      Staging& st = staging[i];
+      gpusim::DeviceBuffer& stage = st.lease.buffer();
+      const std::size_t slot_off = (c % 2) * (stage.size() / 2);
       if (r >= 2) {
         // The slot is free once chunk c-2 left the staging device.
-        runtime_->wait_event(p.first_stream, p.bwd_events[c - 2]);
+        runtime_->wait_event(p.first_stream, st.bwd_events[c - 2]);
         co_await issue_cost();
       }
       runtime_->memcpy_async(stage, slot_off, src, src_at, sz, p.first_stream,
                              token);
       co_await issue_cost();
-      runtime_->record_event(p.fwd_events[c], p.first_stream);
+      runtime_->record_event(st.fwd_events[c], p.first_stream);
       co_await issue_cost();
-      runtime_->wait_event(p.second_stream, p.fwd_events[c]);
+      runtime_->wait_event(p.second_stream, st.fwd_events[c]);
       co_await issue_cost();
       if (p.extra_sync_s > 0.0) {
         runtime_->stream_delay(p.second_stream, p.extra_sync_s);
@@ -391,23 +365,24 @@ sim::Task<TransferOutcome> PipelineEngine::drive(
       runtime_->memcpy_async(dst, dst_at, stage, slot_off, sz,
                              p.second_stream, std::move(token));
       co_await issue_cost();
-      runtime_->record_event(p.bwd_events[c], p.second_stream);
+      runtime_->record_event(st.bwd_events[c], p.second_stream);
       if (e != nullptr) ++e->records_issued;
       co_await issue_cost();
     }
   }
 
   // -- completion ---------------------------------------------------------------
-  // Staged paths first: a transient staging lease returns to the pool the
-  // moment its own streams drain, so windowed transfers never hold buffers
-  // hostage while waiting for an unrelated (direct) slice to finish. A
-  // timed-out path's streams drain too: its cancelled copies skip the data
-  // movement, so the synchronize below returns promptly instead of hanging.
-  for (PathState& p : paths) {
+  // Staged paths first: a staging lease returns to the pool the moment its
+  // own streams drain, so windowed transfers never hold buffers hostage
+  // while waiting for an unrelated (direct) slice to finish. A timed-out
+  // path's streams drain too: its cancelled copies skip the data movement,
+  // so the synchronize below returns promptly instead of hanging.
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    const PathState& p = paths[i];
     if (!p.staged) continue;
     co_await runtime_->synchronize(p.second_stream);
     if (src.materialized() && dst.materialized() &&
-        !p.lease.buffer().materialized()) {
+        !staging[i].lease.buffer().materialized()) {
       // Simulated staging buffer between materialized endpoints: land the
       // payload in bulk — but only the delivered prefix of a path that was
       // aborted mid-flight.
@@ -419,7 +394,7 @@ sim::Task<TransferOutcome> PipelineEngine::drive(
                     src.region(src_offset + p.offset, land).data(), land);
       }
     }
-    if (release_leases) p.lease.release();
+    staging[i].lease.release();
   }
   for (const PathState& p : paths) {
     if (p.staged) continue;
@@ -446,6 +421,15 @@ sim::Task<TransferOutcome> PipelineEngine::drive(
         e.finished = true;  // disarm any still-pending watchdog timer
       }
     }
+  }
+
+  // Recycle this execution's events. All records have fired (every stream
+  // drained above), every waiter captured its latch at enqueue time, and
+  // late watchdog timers bail out on finished/timed-out entries before
+  // consulting events — so a reused id can never alias stale state.
+  for (const Staging& st : staging) {
+    for (gpusim::EventId ev : st.fwd_events) runtime_->release_event(ev);
+    for (gpusim::EventId ev : st.bwd_events) runtime_->release_event(ev);
   }
   co_return out;
 }

@@ -1,7 +1,8 @@
 // Regression guard for the zero-allocation steady state: after one warmup
 // round fills the event/flow/frame pools and container high-water marks, a
 // second identical round of full-stack pipeline transfers must perform zero
-// global operator-new calls.
+// global operator-new calls — fresh executions and compiled-template
+// replays alike (a replay acquires its own staging lease and events).
 //
 // This binary deliberately lives in its own test target: it links
 // mpath_alloc_hook, which replaces the global operator new/delete with
@@ -27,22 +28,34 @@ using namespace mpath::util::literals;
 
 namespace {
 
+mp::ExecPlan worker_plan(mt::DeviceId stage) {
+  return {
+      mp::ExecPath{{mt::PathKind::Direct, mt::kInvalidDevice}, 2_MiB, 8},
+      mp::ExecPath{{mt::PathKind::GpuStaged, stage}, 2_MiB, 8},
+  };
+}
+
+/// `repeats` transfers of the worker plan: replays of `graph` when set,
+/// fresh executions otherwise.
 ms::Task<void> worker_loop(mp::PipelineEngine& pipe, mg::DeviceBuffer& dst,
                            const mg::DeviceBuffer& src, mt::DeviceId stage,
-                           int repeats, bool monitored) {
+                           int repeats, bool monitored,
+                           std::shared_ptr<mp::TransferGraph> graph) {
   for (int r = 0; r < repeats; ++r) {
-    mp::ExecPlan plan{
-        mp::ExecPath{{mt::PathKind::Direct, mt::kInvalidDevice}, 2_MiB, 8},
-        mp::ExecPath{{mt::PathKind::GpuStaged, stage}, 2_MiB, 8},
-    };
     mp::PathWatchList watch;
     if (monitored) watch = {{/*deadline_s=*/10.0}, {/*deadline_s=*/10.0}};
-    (void)co_await pipe.execute_monitored(dst, 0, src, 0, std::move(plan),
-                                          std::move(watch));
+    if (graph != nullptr) {
+      (void)co_await pipe.replay(graph, dst, 0, src, 0, std::move(watch));
+    } else {
+      (void)co_await pipe.execute_monitored(dst, 0, src, 0,
+                                            worker_plan(stage),
+                                            std::move(watch));
+    }
   }
 }
 
-std::uint64_t steady_state_allocs(int workers, int repeats, bool monitored) {
+std::uint64_t steady_state_allocs(int workers, int repeats, bool monitored,
+                                  bool compiled = false) {
   mt::System sys = mt::make_beluga();
   sys.costs.jitter_rel = 0;
   ms::Engine engine;
@@ -60,10 +73,27 @@ std::uint64_t steady_state_allocs(int workers, int repeats, bool monitored) {
     bufs.push_back(std::make_unique<mg::DeviceBuffer>(
         gpus[(w + 1) % n], 4_MiB, mg::Payload::Simulated));
   }
+  // One template per worker, compiled before the warmup: compiling
+  // allocates, replaying must not.
+  std::vector<std::shared_ptr<mp::TransferGraph>> graphs(
+      static_cast<std::size_t>(workers));
+  for (int w = 0; compiled && w < workers; ++w) {
+    mpath::model::TransferConfig config;
+    for (const mp::ExecPath& p : worker_plan(gpus[(w + 2) % n])) {
+      mpath::model::PathShare share;
+      share.plan = p.plan;
+      share.bytes = p.bytes;
+      share.chunks = p.chunks;
+      config.paths.push_back(share);
+    }
+    graphs[static_cast<std::size_t>(w)] = pipe.compile_graph(
+        bufs[2 * w]->device(), bufs[2 * w + 1]->device(), config);
+  }
   const auto spawn_round = [&] {
     for (int w = 0; w < workers; ++w) {
       engine.spawn(worker_loop(pipe, *bufs[2 * w + 1], *bufs[2 * w],
-                               gpus[(w + 2) % n], repeats, monitored),
+                               gpus[(w + 2) % n], repeats, monitored,
+                               graphs[static_cast<std::size_t>(w)]),
                    "worker");
     }
   };
@@ -95,6 +125,16 @@ TEST(AllocRegression, MonitoredSteadyStateRoundIsAllocationFree) {
 #else
   EXPECT_EQ(steady_state_allocs(/*workers=*/8, /*repeats=*/4,
                                 /*monitored=*/true),
+            0u);
+#endif
+}
+
+TEST(AllocRegression, ReplaySteadyStateRoundIsAllocationFree) {
+#if defined(MPATH_POOL_PASSTHROUGH)
+  GTEST_SKIP() << "size-bucketed pool is pass-through under sanitizers";
+#else
+  EXPECT_EQ(steady_state_allocs(/*workers=*/8, /*repeats=*/4,
+                                /*monitored=*/true, /*compiled=*/true),
             0u);
 #endif
 }

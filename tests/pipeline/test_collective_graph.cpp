@@ -1,10 +1,10 @@
 // Collective graph chaining (PR 10): capture/seal/replay lifecycle of
 // CollectiveGraph across the four chained collectives, bit-identical
-// replay timelines under jitter, payload re-patching (including the
-// below-multipath-threshold passthrough degradation), batched joint-theta
-// round admission on scheduled stacks, capacity-epoch invalidation with
-// recapture, and event-reservation accounting across chain destruction and
-// mid-chain compile failure. A nightly fault-churn soak rides along behind
+// replay timelines under jitter, payload-keyed chains (one chain per
+// payload, a payload change bit-identical to chaining off), batched
+// joint-theta round admission on scheduled stacks, capacity-epoch
+// invalidation with recapture, and templates holding no event reservations
+// between iterations. A nightly fault-churn soak rides along behind
 // MPATH_NIGHTLY_SOAK=1.
 #include "mpath/pipeline/collective_graph.hpp"
 
@@ -165,8 +165,6 @@ TEST(ChainCapture, CapturesOnceThenReplaysEveryCollective) {
     EXPECT_EQ(st.passthrough_steps, 0u);
     EXPECT_EQ(st.capture_aborts, 0u);
     EXPECT_EQ(st.mismatch_kills, 0u);
-    EXPECT_EQ(st.busy_fallbacks, 0u);
-    EXPECT_EQ(st.compile_failures, 0u);
     EXPECT_EQ(f.stack.chain()->cache_size(), 1u);
   }
 }
@@ -214,66 +212,51 @@ TEST(ChainReplay, TimelineBitIdenticalToUncapturedUnderJitter) {
 }
 
 // ---------------------------------------------------------------------------
-// Payload patching
+// Payload-keyed chains
 // ---------------------------------------------------------------------------
 
-TEST(ChainPatch, PayloadRescaleReplaysWithoutRecapture) {
+// One collective alternating two payloads keeps one chain per payload:
+// each payload captures once and replays from then on, with no kills.
+TEST(ChainPayload, AlternatingPayloadsCaptureOncePerPayload) {
   ChainFixture f;
-  f.iterate(Coll::BcastBinomial, 8_MiB, 2);
-  ASSERT_EQ(f.stack.chain()->stats().captures, 1u);
-  const std::uint64_t replayed_before =
-      f.stack.chain()->stats().replayed_steps;
-
-  // Halve the payload: every step's bytes scale exactly, so the resident
-  // chain re-patches in place and keeps replaying. Verify the patched
-  // replay still moves the right bytes: after the broadcast every rank's
-  // buffer must equal the root's pattern.
-  f.stack.world().run([&](mi::Communicator& comm) -> ms::Task<void> {
-    mg::DeviceBuffer data(comm.device(), 4_MiB);
-    data.fill_pattern(comm.rank() == 0 ? 7u : 200u + comm.rank());
-    co_await mi::broadcast(comm, data, 4_MiB, 0);
-    mg::DeviceBuffer want(comm.device(), 4_MiB);
-    want.fill_pattern(7u);
-    EXPECT_TRUE(data.same_content(want)) << "rank " << comm.rank();
-  });
+  for (int i = 0; i < 4; ++i) {
+    f.iterate(Coll::AllreduceRhd, 8_MiB, 1);
+    f.iterate(Coll::AllreduceRhd, 64_KiB, 1);
+  }
   const mp::ChainStats st = f.stack.chain()->stats();
-  EXPECT_EQ(st.captures, 1u);
-  EXPECT_GE(st.patches, 1u);
-  EXPECT_EQ(st.patch_failures, 0u);
-  EXPECT_EQ(st.mismatch_kills, 0u);
-  EXPECT_GT(st.replayed_steps, replayed_before);
+  EXPECT_EQ(st.captures, 2u);
+  EXPECT_EQ(st.iterations_captured, 2u);
+  EXPECT_EQ(st.iterations_replayed, 6u);
+  EXPECT_EQ(st.mismatch_kills + st.epoch_kills + st.stale_cal_kills, 0u);
+  EXPECT_EQ(f.stack.chain()->cache_size(), 2u);
+  // The 8 MiB chain replays its 16 multipath steps on each of its 3 replay
+  // iterations; the 64 KiB steps are below the multipath threshold.
+  EXPECT_EQ(st.replayed_steps, 3u * 16u);
+  EXPECT_GT(st.passthrough_steps, 0u);
 }
 
-TEST(ChainPatch, BelowMultipathThresholdDegradesToPassthrough) {
-  ChainFixture f;
-  f.iterate(Coll::AllgatherRing, 8_MiB, 2);
-  ASSERT_EQ(f.stack.chain()->stats().captures, 1u);
-  const std::uint64_t replayed_before =
-      f.stack.chain()->stats().replayed_steps;
-
-  // 512 KiB total -> 128 KiB per ring block, below min_multipath_bytes
-  // (256 KiB): the uncaptured channel would go direct at this size, so the
-  // re-patch must drop every step to passthrough instead of replaying a
-  // multipath split the fresh path would never produce. The chain survives
-  // (no kill, no recapture).
-  f.iterate(Coll::AllgatherRing, 512_KiB, 1);
-  const mp::ChainStats st = f.stack.chain()->stats();
-  EXPECT_EQ(st.captures, 1u);
-  EXPECT_GE(st.patches, 1u);
-  EXPECT_GT(st.patch_failures, 0u);
-  EXPECT_EQ(st.mismatch_kills, 0u);
-  EXPECT_EQ(st.replayed_steps, replayed_before);
-  EXPECT_GT(st.passthrough_steps, 0u);
-  EXPECT_EQ(f.stack.chain()->cache_size(), 1u);
-
-  // Patching back up cannot resurrect the dropped templates in place, so
-  // the resident chain is killed and recaptured — and the recapture
-  // restores the multipath replay fast path on the following iteration.
-  f.iterate(Coll::AllgatherRing, 8_MiB, 2);
-  const mp::ChainStats st2 = f.stack.chain()->stats();
-  EXPECT_EQ(st2.captures, 2u);
-  EXPECT_GE(st2.mismatch_kills, 1u);
-  EXPECT_GT(st2.replayed_steps, replayed_before);
+// A payload change captures the new payload's own chain, so the collective
+// runs the split a fresh plan picks at the new size: the 8 -> 4 MiB switch
+// is bit-identical to chaining off, and the 4 MiB replays that follow are
+// too.
+TEST(ChainPayload, PayloadChangeBitIdenticalToUnchained) {
+  for (const Coll c :
+       {Coll::BcastBinomial, Coll::AllreduceRhd, Coll::AllgatherRing}) {
+    ChainFixture on(/*jitter_rel=*/0.0, /*graphs=*/true);
+    ChainFixture off(/*jitter_rel=*/0.0, /*graphs=*/false);
+    std::vector<double> t_on, t_off;
+    for (const std::size_t bytes : {8_MiB, 8_MiB, 4_MiB, 4_MiB, 4_MiB}) {
+      on.iterate(c, bytes, 1);
+      off.iterate(c, bytes, 1);
+      t_on.push_back(on.stack.engine().now());
+      t_off.push_back(off.stack.engine().now());
+    }
+    EXPECT_EQ(t_on, t_off);
+    const mp::ChainStats st = on.stack.chain()->stats();
+    EXPECT_EQ(st.captures, 2u);
+    EXPECT_EQ(st.iterations_replayed, 3u);
+    EXPECT_GT(st.replayed_steps, 0u);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -375,39 +358,13 @@ TEST(ChainEvents, TemplatesReturnReservationsOnControllerDestruction) {
       world.run([&](mi::Communicator& comm) -> ms::Task<void> {
         co_await run_once(comm, Coll::AllreduceRhd, 8_MiB);
       });
+      EXPECT_EQ(f.rt.events_outstanding(), baseline);
     }
     EXPECT_EQ(chain.stats().captures, 1u);
-    EXPECT_EQ(chain.stats().compile_failures, 0u);
     EXPECT_GT(chain.stats().replayed_steps, 0u);
-    // Sealed templates hold their reserved fwd/bwd events across
-    // iterations — that persistence is the replay fast path.
-    EXPECT_GT(f.rt.events_outstanding(), baseline);
-  }
-  // Controller gone -> chains gone -> every reserved event back in the
-  // runtime free list.
-  EXPECT_EQ(f.rt.events_outstanding(), baseline);
-}
-
-TEST(ChainEvents, MidChainCompileFailureReleasesReservations) {
-  // One staging buffer per device: the capture iteration itself runs fine
-  // (fresh transfers hold staging transiently), but at seal time the
-  // templates' *persistent* staging claims exhaust the pool mid-chain.
-  // Failed steps must stay passthrough without leaking the event
-  // reservations their aborted compile already made, and controller
-  // destruction must return everything that did compile.
-  ManualFixture f(/*staging_buffers_per_device=*/1);
-  const std::uint64_t baseline = f.rt.events_outstanding();
-  {
-    mp::ChainController chain(f.channel);
-    mi::World world(f.rt, f.channel);
-    world.set_chain_controller(&chain);
-    world.run([&](mi::Communicator& comm) -> ms::Task<void> {
-      co_await run_once(comm, Coll::AllreduceRhd, 8_MiB);
-    });
-    const mp::ChainStats st = chain.stats();
-    EXPECT_EQ(st.captures, 1u);
-    EXPECT_GT(st.compile_failures, 0u);
-    EXPECT_EQ(st.capture_aborts, 0u);
+    // Sealed templates are plans: every step replay returned its events
+    // as it drained, so nothing stays reserved between iterations.
+    EXPECT_EQ(f.rt.events_outstanding(), baseline);
   }
   EXPECT_EQ(f.rt.events_outstanding(), baseline);
 }

@@ -1,9 +1,11 @@
 // Compiled transfer graphs (PR 9): compile/replay timing identity with the
-// uncompiled path, TransferGraph patching, the GraphCache (LRU, collision,
-// calibration-version invalidation), the ModelDrivenChannel fast path with
-// its fallback gates, admit_replay ledger equivalence, and the invalidation
-// edge cases (calibration publish mid-flight, health probation of a
-// template path, LRU eviction while a replay executes).
+// uncompiled path, templates as plans that hold no resources between
+// executions (reentrant replay, a one-buffer staging pool), the GraphCache
+// (LRU, collision, calibration-version invalidation), the
+// ModelDrivenChannel fast path with its fallback gates, admit_replay ledger
+// equivalence, and the invalidation edge cases (calibration publish
+// mid-flight, health probation of a template path, LRU eviction while a
+// replay executes).
 #include "mpath/pipeline/graph.hpp"
 
 #include <gtest/gtest.h>
@@ -147,6 +149,7 @@ TEST(GraphCompile, ResolvesResourcesWithoutSimulatedTime) {
   const mm::TransferConfig config =
       f.cfg.compute_config(f.gpus[0], f.gpus[1], 64_MiB, paths);
   const double t0 = f.engine.now();
+  const auto events_before = f.rt.events_outstanding();
   const auto g = f.pipe.compile_graph(f.gpus[0], f.gpus[1], config);
   ASSERT_NE(g, nullptr);
   EXPECT_EQ(f.engine.now(), t0);  // compile is host-side only
@@ -155,38 +158,24 @@ TEST(GraphCompile, ResolvesResourcesWithoutSimulatedTime) {
   EXPECT_EQ(g->dst_device(), f.gpus[1]);
   EXPECT_EQ(g->total_bytes(), 64_MiB);
   ASSERT_EQ(g->key_paths().size(), paths.size());
-  EXPECT_FALSE(g->busy());
   EXPECT_EQ(g->replays(), 0u);
-  // Active shares only; every staged path carries its reserved events and a
-  // persistent staging lease.
+  // Active shares only, each with resolved streams and a chunk table. A
+  // template is a plan: compiling reserves no event and no staging slot.
   std::uint64_t covered = 0;
+  bool any_staged = false;
   for (const auto& p : g->paths()) {
     EXPECT_GT(p.bytes, 0u);
     covered += p.bytes;
     if (p.staged) {
-      EXPECT_TRUE(p.lease.valid());
-      EXPECT_GT(p.slot_bytes, 0u);
-      EXPECT_EQ(p.fwd_events.size(), static_cast<std::size_t>(p.chunks));
-      EXPECT_EQ(p.bwd_events.size(), static_cast<std::size_t>(p.chunks));
+      any_staged = true;
+      EXPECT_EQ(f.pipe.staging().in_use(p.plan.stage, f.gpus[0]), 0u);
     }
     EXPECT_EQ(p.chunk_sizes.size(), static_cast<std::size_t>(p.chunks));
   }
+  EXPECT_TRUE(any_staged);
+  EXPECT_EQ(f.rt.events_outstanding(), events_before);
   EXPECT_EQ(covered, 64_MiB);
   expect_chunk_tables_tile(*g);
-}
-
-TEST(GraphCompile, NullWhenStagingPoolExhausted) {
-  // One staging buffer per device: the first template takes the slot on its
-  // stage GPU persistently, so a second template over the same stage must
-  // fail to compile (nullptr) instead of blocking inside compile.
-  Fixture f(0.0, /*staging_buffers_per_device=*/1);
-  const auto paths = f.candidates(mt::PathPolicy::two_gpus());
-  const mm::TransferConfig config =
-      f.cfg.compute_config(f.gpus[0], f.gpus[1], 64_MiB, paths);
-  const auto g1 = f.pipe.compile_graph(f.gpus[0], f.gpus[1], config);
-  ASSERT_NE(g1, nullptr);
-  const auto g2 = f.pipe.compile_graph(f.gpus[0], f.gpus[1], config);
-  EXPECT_EQ(g2, nullptr);
 }
 
 TEST(GraphCompile, MirrorsExecuteValidation) {
@@ -264,7 +253,6 @@ TEST(GraphReplay, BitIdenticalToUncompiledUnderJitter) {
     t_replay = f.engine.now();
     content_replay = dst.same_content(src);
     EXPECT_EQ(g->replays(), 1u);
-    EXPECT_FALSE(g->busy());
   }
   EXPECT_TRUE(content_classic);
   EXPECT_TRUE(content_replay);
@@ -383,268 +371,33 @@ TEST(GraphReplay, MonitoredTimeoutMatchesUncompiledBitForBit) {
   }
 }
 
+// A template holds nothing between executions: each replay acquires its
+// staging leases and events and returns them all as it drains, so the
+// runtime's outstanding-event count and the staging pool are back at their
+// baseline after every replay, and steady-state replays reuse the recycled
+// events instead of creating new ones.
 TEST(GraphReplay, SteadyStateReplaysReuseResources) {
   Fixture f;
   const auto paths = f.candidates(mt::PathPolicy::three_gpus());
   const auto config = f.cfg.compute_config(f.gpus[0], f.gpus[1], 32_MiB, paths);
   auto g = f.pipe.compile_graph(f.gpus[0], f.gpus[1], config);
   ASSERT_NE(g, nullptr);
-  mg::DeviceBuffer src(f.gpus[0], 32_MiB), dst(f.gpus[1], 32_MiB);
-  src.fill_pattern(23);
-  const auto pooled_before = f.rt.events_pooled();
-  f.engine.spawn(
-      [](Fixture& fx, std::shared_ptr<mp::TransferGraph> gr,
-         mg::DeviceBuffer& d, const mg::DeviceBuffer& s) -> ms::Task<void> {
-        for (int i = 0; i < 3; ++i) {
-          const auto out = co_await fx.pipe.replay(gr, d, 0, s, 0, {});
-          EXPECT_TRUE(out.complete);
-        }
-      }(f, g, dst, src),
-      "steady");
-  f.engine.run();
-  EXPECT_TRUE(dst.same_content(src));
+  const auto outstanding = f.rt.events_outstanding();
+  std::vector<std::size_t> pooled;  // event free-list size after each replay
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(replay_ops(f, g, 23 + i), expected_ops(*g));
+    EXPECT_EQ(f.rt.events_outstanding(), outstanding);
+    for (const auto& p : g->paths()) {
+      if (!p.staged) continue;
+      EXPECT_EQ(f.pipe.staging().in_use(p.plan.stage, f.gpus[0]), 0u);
+    }
+    pooled.push_back(f.rt.events_pooled());
+  }
   EXPECT_EQ(g->replays(), 3u);
   EXPECT_EQ(f.pipe.transfers_executed(), 3u);
-  // Replays never touch the event free-list: the template owns its events.
-  EXPECT_EQ(f.rt.events_pooled(), pooled_before);
-}
-
-TEST(GraphReplay, BusyTemplateIsRejected) {
-  Fixture f;
-  const auto paths = f.candidates(mt::PathPolicy::three_gpus());
-  const auto config = f.cfg.compute_config(f.gpus[0], f.gpus[1], 32_MiB, paths);
-  auto g = f.pipe.compile_graph(f.gpus[0], f.gpus[1], config);
-  ASSERT_NE(g, nullptr);
-  mg::DeviceBuffer src(f.gpus[0], 32_MiB), dst(f.gpus[1], 32_MiB);
-  src.fill_pattern(24);
-  bool second_rejected = false;
-  f.engine.spawn(
-      [](Fixture& fx, std::shared_ptr<mp::TransferGraph> gr,
-         mg::DeviceBuffer& d, const mg::DeviceBuffer& s) -> ms::Task<void> {
-        (void)co_await fx.pipe.replay(gr, d, 0, s, 0, {});
-      }(f, g, dst, src),
-      "first");
-  f.engine.spawn(
-      [](Fixture& fx, std::shared_ptr<mp::TransferGraph> gr,
-         mg::DeviceBuffer& d, const mg::DeviceBuffer& s,
-         bool& rejected) -> ms::Task<void> {
-        try {
-          (void)co_await fx.pipe.replay(gr, d, 0, s, 0, {});
-        } catch (const std::logic_error&) {
-          rejected = true;
-        }
-      }(f, g, dst, src, second_rejected),
-      "second");
-  f.engine.run();
-  EXPECT_TRUE(second_rejected);
-  EXPECT_EQ(g->replays(), 1u);
-  EXPECT_FALSE(g->busy());
-}
-
-// ---------------------------------------------------------------------------
-// Patch
-// ---------------------------------------------------------------------------
-
-TEST(GraphPatch, ResplitsKeepingThetaAndDelivers) {
-  Fixture f;
-  const auto paths = f.candidates(mt::PathPolicy::three_gpus());
-  const auto config = f.cfg.compute_config(f.gpus[0], f.gpus[1], 64_MiB, paths);
-  auto g = f.pipe.compile_graph(f.gpus[0], f.gpus[1], config);
-  ASSERT_NE(g, nullptr);
-  const std::vector<double> thetas = [&] {
-    std::vector<double> t;
-    for (const auto& s : g->config().paths) t.push_back(s.theta);
-    return t;
-  }();
-
-  ASSERT_TRUE(g->patch(48_MiB));
-  EXPECT_EQ(g->total_bytes(), 48_MiB);
-  EXPECT_EQ(g->config().total_bytes, 48_MiB);
-  std::uint64_t covered = 0;
-  for (const auto& s : g->config().paths) covered += s.bytes;
-  EXPECT_EQ(covered, 48_MiB);
-  // Non-anchor shares follow the compiled theta exactly.
-  for (std::size_t i = 1; i < g->config().paths.size(); ++i) {
-    EXPECT_EQ(g->config().paths[i].bytes,
-              static_cast<std::uint64_t>(
-                  std::floor(thetas[i] * static_cast<double>(48_MiB))));
-  }
-
-  mg::DeviceBuffer src(f.gpus[0], 48_MiB), dst(f.gpus[1], 48_MiB);
-  src.fill_pattern(25);
-  f.engine.spawn(
-      [](Fixture& fx, std::shared_ptr<mp::TransferGraph> gr,
-         mg::DeviceBuffer& d, const mg::DeviceBuffer& s) -> ms::Task<void> {
-        const auto out = co_await fx.pipe.replay(gr, d, 0, s, 0, {});
-        EXPECT_TRUE(out.complete);
-      }(f, g, dst, src),
-      "patched");
-  f.engine.run();
-  EXPECT_TRUE(dst.same_content(src));
-
-  // patch(total_bytes()) is a no-op; zero bytes is rejected.
-  EXPECT_TRUE(g->patch(48_MiB));
-  EXPECT_FALSE(g->patch(0));
-  EXPECT_EQ(g->total_bytes(), 48_MiB);
-}
-
-TEST(GraphPatch, OneBytePatchCollapsesOntoTheAnchor) {
-  // The smallest legal patch: every non-anchor share floors to zero bytes
-  // (floor(theta * 1) == 0 for theta < 1), the remainder — the whole byte —
-  // lands on the anchor, and the issue rounds degenerate to the anchor's path
-  // alone. The graph must still replay and deliver that byte.
-  Fixture f;
-  const auto paths = f.candidates(mt::PathPolicy::three_gpus());
-  const auto config = f.cfg.compute_config(f.gpus[0], f.gpus[1], 64_MiB, paths);
-  auto g = f.pipe.compile_graph(f.gpus[0], f.gpus[1], config);
-  ASSERT_NE(g, nullptr);
-  ASSERT_GT(g->config().paths.size(), 1u);
-
-  ASSERT_TRUE(g->patch(1));
-  EXPECT_EQ(g->total_bytes(), 1u);
-  EXPECT_EQ(g->config().paths[0].bytes, 1u);
-  EXPECT_EQ(g->config().paths[0].theta, 1.0);
-  for (std::size_t i = 1; i < g->config().paths.size(); ++i) {
-    EXPECT_EQ(g->config().paths[i].bytes, 0u);
-  }
-  // Zero-byte paths contribute no chunks and no ops.
-  std::size_t carrying = 0;
-  for (const auto& p : g->paths()) {
-    if (p.bytes == 0) {
-      EXPECT_EQ(p.chunks, 0);
-      EXPECT_TRUE(p.chunk_sizes.empty());
-    } else {
-      ++carrying;
-      EXPECT_EQ(p.chunks, 1);
-      ASSERT_EQ(p.chunk_sizes.size(), 1u);
-      EXPECT_EQ(p.chunk_sizes[0], 1u);
-    }
-  }
-  EXPECT_EQ(carrying, 1u);
-
-  mg::DeviceBuffer src(f.gpus[0], 1), dst(f.gpus[1], 1);
-  src.fill_pattern(31);
-  f.engine.spawn(
-      [](Fixture& fx, std::shared_ptr<mp::TransferGraph> gr,
-         mg::DeviceBuffer& d, const mg::DeviceBuffer& s) -> ms::Task<void> {
-        const auto out = co_await fx.pipe.replay(gr, d, 0, s, 0, {});
-        EXPECT_TRUE(out.complete);
-      }(f, g, dst, src),
-      "one-byte");
-  f.engine.run();
-  EXPECT_TRUE(dst.same_content(src));
-}
-
-TEST(GraphPatch, PatchingBackToCompiledBytesRestoresExactShares) {
-  // Non-anchor thetas are never rewritten by patch, and the share bytes are
-  // re-derived with the same floor/anchor-remainder arithmetic the original
-  // compile used — so patching away and back must reproduce the compiled
-  // split bit for bit, including the per-chunk splits.
-  Fixture f;
-  const auto paths = f.candidates(mt::PathPolicy::three_gpus());
-  const auto config = f.cfg.compute_config(f.gpus[0], f.gpus[1], 64_MiB, paths);
-  auto g = f.pipe.compile_graph(f.gpus[0], f.gpus[1], config);
-  ASSERT_NE(g, nullptr);
-
-  struct Snap {
-    std::vector<std::uint64_t> share_bytes;
-    std::vector<double> thetas;
-    std::vector<std::vector<std::size_t>> chunk_sizes;
-    std::vector<std::vector<std::size_t>> chunk_offsets;
-    std::uint64_t ops = 0;
-  };
-  const auto snapshot = [&] {
-    Snap s;
-    for (const auto& share : g->config().paths) {
-      s.share_bytes.push_back(share.bytes);
-      s.thetas.push_back(share.theta);
-    }
-    for (const auto& p : g->paths()) {
-      s.chunk_sizes.emplace_back(p.chunk_sizes.begin(), p.chunk_sizes.end());
-      s.chunk_offsets.emplace_back(p.chunk_offsets.begin(),
-                                   p.chunk_offsets.end());
-    }
-    s.ops = replay_ops(f, g, 26);
-    EXPECT_EQ(s.ops, expected_ops(*g));
-    return s;
-  };
-  const Snap before = snapshot();
-
-  ASSERT_TRUE(g->patch(48_MiB));
-  ASSERT_TRUE(g->patch(1));
-  ASSERT_TRUE(g->patch(64_MiB));
-
-  const Snap after = snapshot();
-  EXPECT_EQ(after.share_bytes, before.share_bytes);
-  EXPECT_EQ(after.thetas, before.thetas);
-  EXPECT_EQ(after.chunk_sizes, before.chunk_sizes);
-  EXPECT_EQ(after.chunk_offsets, before.chunk_offsets);
-  EXPECT_EQ(after.ops, before.ops);
-  EXPECT_EQ(g->total_bytes(), 64_MiB);
-}
-
-TEST(GraphPatch, StagedShareDegeneratesToSingleChunk) {
-  // Shrink until a staged share carries exactly one byte: its chunk count
-  // clamps to min(compiled chunks, bytes) == 1, so the re-split emits a
-  // single chunk and none of the in-flight pipelining ops (no slot wait,
-  // which only exists from chunk index 2 on). Replay must still deliver.
-  Fixture f;
-  const auto paths = f.candidates(mt::PathPolicy::three_gpus());
-  const auto config = f.cfg.compute_config(f.gpus[0], f.gpus[1], 64_MiB, paths);
-  auto g = f.pipe.compile_graph(f.gpus[0], f.gpus[1], config);
-  ASSERT_NE(g, nullptr);
-
-  // Find a non-anchor staged share and the size at which it gets 1 byte.
-  std::size_t staged_idx = 0;
-  for (std::size_t i = 1; i < g->config().paths.size(); ++i) {
-    if (g->config().paths[i].plan.kind == mt::PathKind::GpuStaged) {
-      staged_idx = i;
-      break;
-    }
-  }
-  ASSERT_GT(staged_idx, 0u) << "topology offers no non-anchor staged path";
-  ASSERT_GT(g->config().paths[staged_idx].chunks, 1);
-  const double theta = g->config().paths[staged_idx].theta;
-  const auto new_bytes =
-      static_cast<std::uint64_t>(std::ceil(1.0 / theta));
-  ASSERT_EQ(static_cast<std::uint64_t>(
-                std::floor(theta * static_cast<double>(new_bytes))),
-            1u);
-
-  ASSERT_TRUE(g->patch(new_bytes));
-  std::size_t staged_pidx = g->paths().size();
-  for (std::size_t i = 0; i < g->paths().size(); ++i) {
-    if (g->paths()[i].staged && g->paths()[i].plan_index == staged_idx) {
-      staged_pidx = i;
-      break;
-    }
-  }
-  ASSERT_LT(staged_pidx, g->paths().size());
-  const auto& staged_path = g->paths()[staged_pidx];
-  EXPECT_EQ(staged_path.bytes, 1u);
-  EXPECT_EQ(staged_path.chunks, 1);
-  ASSERT_EQ(staged_path.chunk_sizes.size(), 1u);
-  EXPECT_EQ(staged_path.chunk_sizes[0], 1u);
-
-  // The single staged chunk issues no slot wait, and one replay issues
-  // exactly the stream ops the chunk tables call for.
-  EXPECT_EQ(path_ops(staged_path), staged_path.extra_sync_s > 0.0 ? 6u : 5u);
-  EXPECT_EQ(replay_ops(f, g, 87), expected_ops(*g));
-}
-
-TEST(GraphPatch, RejectsSizesThatOverflowCompiledResources) {
-  Fixture f;
-  const auto paths = f.candidates(mt::PathPolicy::two_gpus());
-  const auto config = f.cfg.compute_config(f.gpus[0], f.gpus[1], 8_MiB, paths);
-  auto g = f.pipe.compile_graph(f.gpus[0], f.gpus[1], config);
-  ASSERT_NE(g, nullptr);
-  const std::uint64_t before = g->total_bytes();
-  // 64x the compiled size: a staged chunk would exceed its staging slot (the
-  // slot was sized for the compile-time chunk), so the patch must refuse and
-  // leave the template untouched.
-  EXPECT_FALSE(g->patch(512_MiB));
-  EXPECT_EQ(g->total_bytes(), before);
-  EXPECT_EQ(g->config().total_bytes, before);
+  EXPECT_GT(pooled[0], 0u);
+  EXPECT_EQ(pooled[1], pooled[0]);
+  EXPECT_EQ(pooled[2], pooled[0]);
 }
 
 // ---------------------------------------------------------------------------
@@ -747,11 +500,10 @@ TEST(GraphCache, NarrowKeyCollisionsMissInsteadOfAliasing) {
 // Templates are compiled up front on the main thread (compile itself is
 // engine-affine and single-threaded by design); only the cache — the one
 // shared mutable structure — is hammered from worker threads. Main keeps a
-// strong reference to every graph so worker-side evictions never run a
-// TransferGraph destructor off the engine thread.
+// strong reference to every graph, so worker-side evictions never free
+// one.
 TEST(GraphCacheConcurrent, ParallelLookupInsertRemoveAgree) {
-  // Enough staging slots for eight live templates per stage device.
-  Fixture f(/*jitter_rel=*/0.0, /*staging_buffers_per_device=*/16);
+  Fixture f;
   const auto paths = f.candidates(mt::PathPolicy::three_gpus());
   const std::span<const mt::PathPlan> key{paths.data(), paths.size()};
   std::vector<mp::GraphPtr> graphs;
@@ -1101,8 +853,8 @@ TEST(ChannelGraphs, HealthProbationBlocksReplayOfTemplatePath) {
 
 // ASan coverage for the by-value snapshot semantics: evicting a template
 // from the cache while its replay is still executing must be safe — the
-// replay frame's shared_ptr keeps the graph (and its staging lease and
-// events) alive until the frame completes.
+// replay frame's shared_ptr keeps the graph alive until the frame
+// completes.
 TEST(ChannelGraphs, LruEvictionDuringReplayIsSafe) {
   Fixture f;
   mp::GraphCacheOptions copt;
@@ -1141,4 +893,104 @@ TEST(ChannelGraphs, LruEvictionDuringReplayIsSafe) {
   EXPECT_GE(cache.stats().evictions, 1u);
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_GE(ch.graph_stats().replays, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Templates are plans: reentrant replay, no resident staging
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// One gpus[0] -> gpus[1] transfer of `n` bytes on its own buffers;
+/// appends its completion instant to `out`.
+ms::Task<void> sized_transfer(Fixture& f, mg::DataChannel& ch, std::uint64_t n,
+                              std::uint64_t seed, std::vector<double>& out) {
+  mg::DeviceBuffer src(f.gpus[0], n), dst(f.gpus[1], n);
+  src.fill_pattern(seed);
+  co_await ch.transfer(dst, 0, src, 0, n);
+  out.push_back(f.engine.now());
+  EXPECT_TRUE(dst.same_content(src));
+}
+
+/// Transfers of `sizes`, started together when `concurrent` (else one
+/// after another). Returns the completion instants in completion order.
+std::vector<double> run_sizes(Fixture& f, mg::DataChannel& ch,
+                              const std::vector<std::uint64_t>& sizes,
+                              bool concurrent) {
+  std::vector<double> finish;
+  if (concurrent) {
+    for (std::size_t i = 0; i < sizes.size(); ++i) {
+      f.engine.spawn(sized_transfer(f, ch, sizes[i], 40 + i, finish),
+                     "concurrent");
+    }
+  } else {
+    f.engine.spawn(
+        [](Fixture& fx, mg::DataChannel& c, std::vector<std::uint64_t> ns,
+           std::vector<double>& out) -> ms::Task<void> {
+          for (std::size_t i = 0; i < ns.size(); ++i) {
+            co_await sized_transfer(fx, c, ns[i], 40 + i, out);
+          }
+        }(f, ch, sizes, finish),
+        "sequence");
+  }
+  f.engine.run();
+  return finish;
+}
+
+}  // namespace
+
+// Two same-key transfers in flight at once both replay the one cached
+// template, each with its own staging leases and events, and complete at
+// the instants the uncompiled path gives them — under jitter, so the rng
+// draw order is checked too.
+TEST(ChannelGraphs, ConcurrentSameKeyTransfersReplayOneTemplate) {
+  const std::uint64_t n = 48_MiB;
+  const auto run = [n](bool graphs, mp::GraphUseStats& stats) {
+    Fixture f(/*jitter_rel=*/0.02);
+    mp::GraphCache cache;
+    mp::ModelDrivenOptions opts;
+    if (graphs) opts.graphs = &cache;
+    mp::ModelDrivenChannel ch(f.pipe, f.cfg, mt::PathPolicy::three_gpus(),
+                              opts);
+    const auto events = f.rt.events_outstanding();
+    std::vector<double> finish = run_sizes(f, ch, {n}, false);  // warm-up
+    const std::vector<double> pair = run_sizes(f, ch, {n, n}, true);
+    finish.insert(finish.end(), pair.begin(), pair.end());
+    EXPECT_EQ(f.rt.events_outstanding(), events);
+    stats = ch.graph_stats();
+    return finish;
+  };
+  mp::GraphUseStats on, off;
+  const std::vector<double> compiled = run(true, on);
+  const std::vector<double> base = run(false, off);
+  ASSERT_EQ(base.size(), 3u);
+  EXPECT_EQ(compiled, base);  // bit-identical, not just NEAR
+  EXPECT_EQ(on.compiles, 1u);
+  EXPECT_EQ(on.replays_fresh, 1u);
+  EXPECT_EQ(on.replays, 2u);
+  EXPECT_EQ(on.busy_fallbacks, 0u);
+}
+
+// One staging buffer per device: a template must not keep the slot, or the
+// next transfer over the same stage waits forever. The 8, 16, 8, 16 MiB
+// sequence completes with the graph cache on, at the graphs-off instants.
+TEST(ChannelGraphs, OneBufferStagingPoolMatchesGraphsOff) {
+  const std::vector<std::uint64_t> sizes{8_MiB, 16_MiB, 8_MiB, 16_MiB};
+  const auto run = [&sizes](bool graphs) {
+    Fixture f(/*jitter_rel=*/0.0, /*staging_buffers_per_device=*/1);
+    mp::GraphCache cache;
+    mp::ModelDrivenOptions opts;
+    if (graphs) opts.graphs = &cache;
+    mp::ModelDrivenChannel ch(f.pipe, f.cfg, mt::PathPolicy::three_gpus(),
+                              opts);
+    std::vector<double> finish = run_sizes(f, ch, sizes, false);
+    if (graphs) {
+      EXPECT_EQ(ch.graph_stats().compiles, 2u);
+      EXPECT_EQ(ch.graph_stats().replays, 2u);
+    }
+    return finish;
+  };
+  const std::vector<double> off = run(false);
+  ASSERT_EQ(off.size(), sizes.size());
+  EXPECT_EQ(run(true), off);
 }

@@ -2,11 +2,13 @@
 // escalation, and the end-to-end flap scenarios: a severed-then-restored
 // path is readmitted via probe slices instead of staying dead forever,
 // bytes stay conserved under injected faults, and online recalibration
-// shrinks the model error on a drifted link. The fluid-network self-check
+// shrinks the model error on a drifted link (observing, on the recovery
+// path too, each transfer's own configuration). The fluid-network self-check
 // (kFull whole-network oracle) is armed for every simulation test here.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <numeric>
 #include <optional>
 #include <string>
@@ -409,6 +411,56 @@ TEST(DriftConvergence, RecalibratedPredictionsConvergeOnDriftedLink) {
   const auto* cal = store.snapshot()->find(f.gpus[0], f.gpus[1], direct());
   ASSERT_NE(cal, nullptr);
   EXPECT_LT(cal->beta_scale, 1.0);
+}
+
+// The recovery path must report each transfer's own configuration to the
+// recalibrator, not whichever transfer last wrote the channel's shared
+// last_config(). Two concurrent tenants on disjoint pairs and no faults:
+// every transfer completes on its first plan, so the recovery path
+// observes exactly what the plain path observes and both publish the same
+// calibration.
+TEST(DriftConvergence, RecoveryPathObservesItsOwnConfig) {
+  struct Learned {
+    std::uint64_t version = 0;
+    std::map<mm::PathCalKey, mm::PathCalibration> entries;
+  };
+  const auto learn = [](bool recovery) {
+    Fixture f;
+    mm::CalibrationStore store;
+    f.cfg.set_calibration(&store);
+    mm::Recalibrator recal(store);
+    mp::ModelDrivenOptions opts;
+    opts.recovery.enabled = recovery;
+    opts.recalibrator = &recal;
+    mp::ModelDrivenChannel ch(f.pipe, f.cfg, mt::PathPolicy::three_gpus(),
+                              opts);
+    const auto tenant = [](Fixture& fx, mp::ModelDrivenChannel& c,
+                           mt::DeviceId s, mt::DeviceId d,
+                           std::size_t bytes) -> ms::Task<void> {
+      for (int i = 0; i < 8; ++i) {
+        RunRecord rr;
+        co_await one_transfer(fx, c, s, d, bytes,
+                              static_cast<std::uint8_t>(40 + i), rr);
+        EXPECT_TRUE(rr.ok);
+      }
+    };
+    f.engine.spawn(tenant(f, ch, f.gpus[0], f.gpus[1], 64_MiB), "large");
+    f.engine.spawn(tenant(f, ch, f.gpus[2], f.gpus[3], 4_MiB), "small");
+    f.engine.run();
+    const auto snap = store.snapshot();
+    return Learned{snap->version(), snap->entries()};
+  };
+  const Learned off = learn(false);
+  const Learned on = learn(true);
+  EXPECT_EQ(on.version, off.version);
+  ASSERT_EQ(on.entries.size(), off.entries.size());
+  for (auto a = on.entries.begin(), b = off.entries.begin();
+       a != on.entries.end(); ++a, ++b) {
+    EXPECT_TRUE(a->first == b->first);
+    EXPECT_EQ(a->second.alpha_scale, b->second.alpha_scale);
+    EXPECT_EQ(a->second.beta_scale, b->second.beta_scale);
+    EXPECT_EQ(a->second.samples, b->second.samples);
+  }
 }
 
 // Paper-faithful guard: with health and recalibration both left disabled
