@@ -2,9 +2,9 @@
 // "the runtime overhead of the model-driven framework is negligible for
 // large message sizes (less than 0.1% of the total execution time)".
 //
-// Measures populate_path_config (Algorithm 1) with a cold cache, a warm
-// cache, and theta-solver / chunk-optimizer internals, and relates the
-// cost to a 64 MB transfer time.
+// Measures populate_path_config (Algorithm 1) — a full solve, since the
+// configurator keeps no cache — and theta-solver / chunk-optimizer
+// internals, and relates the cost to a 64 MB transfer time.
 // PR 9 adds the build-vs-replay columns: BM_GraphColdBuild is the full
 // per-transfer CPU path a cache miss pays (theta solve + config + template
 // compile), BM_GraphReplay is what a cache hit pays instead (the keyed
@@ -45,11 +45,9 @@ Setup& setup() {
 
 }  // namespace
 
-static void BM_ConfigureColdCache(benchmark::State& state) {
+static void BM_Configure(benchmark::State& state) {
   auto& s = setup();
-  mm::ConfiguratorOptions opt;
-  opt.cache_enabled = false;
-  mm::PathConfigurator cfg(s.registry, opt);
+  const mm::PathConfigurator cfg(s.registry);
   const auto bytes = static_cast<std::uint64_t>(state.range(0));
   for (auto _ : state) {
     benchmark::DoNotOptimize(
@@ -59,18 +57,7 @@ static void BM_ConfigureColdCache(benchmark::State& state) {
   // time (a 46 GB/s single-lane transfer of the same size).
   state.counters["transfer_us"] = static_cast<double>(bytes) / 46e9 * 1e6;
 }
-BENCHMARK(BM_ConfigureColdCache)->Arg(2 << 20)->Arg(64 << 20)->Arg(512 << 20);
-
-static void BM_ConfigureWarmCache(benchmark::State& state) {
-  auto& s = setup();
-  mm::PathConfigurator cfg(s.registry);
-  (void)cfg.configure(s.gpus[0], s.gpus[1], 64 << 20, s.paths);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        cfg.configure(s.gpus[0], s.gpus[1], 64 << 20, s.paths));
-  }
-}
-BENCHMARK(BM_ConfigureWarmCache);
+BENCHMARK(BM_Configure)->Arg(2 << 20)->Arg(64 << 20)->Arg(512 << 20);
 
 static void BM_ThetaSolve(benchmark::State& state) {
   auto& s = setup();
@@ -129,9 +116,7 @@ GraphSetup& graph_setup() {
 // resolution and chunk tables).
 static void BM_GraphColdBuild(benchmark::State& state) {
   auto& s = graph_setup();
-  mm::ConfiguratorOptions opt;
-  opt.cache_enabled = false;
-  mm::PathConfigurator cfg(s.registry, opt);
+  const mm::PathConfigurator cfg(s.registry);
   const auto bytes = static_cast<std::uint64_t>(state.range(0));
   for (auto _ : state) {
     const mm::TransferConfig config =
@@ -143,8 +128,8 @@ static void BM_GraphColdBuild(benchmark::State& state) {
 BENCHMARK(BM_GraphColdBuild)->Arg(2 << 20)->Arg(64 << 20);
 
 // Cache-hit cost: the entire CPU-side work the replay fast path performs
-// before issuing — keyed lookup (FNV + tuple verify + LRU splice). This is
-// the number the <= 20%-of-cold-build gate holds.
+// before issuing — the full-key plan-cache lookup (hash, key compare, LRU
+// splice). This is the number the <= 20%-of-cold-build gate holds.
 static void BM_GraphReplay(benchmark::State& state) {
   auto& s = graph_setup();
   mm::PathConfigurator cfg(s.registry);

@@ -2,14 +2,14 @@
 //
 // Given (src, dst, message size, candidate paths), compute the optimal
 // multi-path configuration — per-path byte shares and chunk counts — from
-// the fitted model parameters, with a configuration cache in front.
+// the fitted model parameters. The configurator is a pure solver: the
+// "look up config" step of Algorithm 1 is the plan cache
+// (pipeline::GraphCache), whose cached entry is the compiled template, so
+// without one every call solves theta.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
-#include <list>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "mpath/model/calibration_store.hpp"
@@ -45,17 +45,6 @@ struct ConfiguratorOptions {
   /// this size the per-hop composition is more faithful, so factors are
   /// ignored.
   std::uint64_t omega_override_min_bytes = 16u << 20;
-  bool cache_enabled = true;
-  /// Maximum number of cached configurations; least-recently-used entries
-  /// are evicted past this. 0 (default) means unbounded — the legacy
-  /// behaviour, fine for steady workloads but a slow leak for long-running
-  /// processes with high request diversity (fault-driven re-plans).
-  std::size_t cache_capacity = 0;
-  /// Width of the cache key in bits (1..64). Test hook: narrowing it forces
-  /// hash collisions between distinct request tuples, exercising the
-  /// collision-detection path without hunting for real 64-bit FNV
-  /// collisions. Production code leaves this at 64.
-  int cache_key_bits = 64;
 };
 
 /// The model-side half of Algorithm 1 (lines 7-21): per-path link
@@ -102,8 +91,6 @@ class PathConfigurator {
   /// applies the current snapshot's per-path {alpha_scale, beta_scale} on
   /// top of the registry parameters; paths with no learned entry are left
   /// untouched, so an empty store is bit-identical to running without one.
-  /// Cached configs are stamped with the snapshot version they were
-  /// computed under and recomputed (not trusted) after a publication.
   /// The store must outlive the configurator.
   void set_calibration(const CalibrationStore* store) { calibration_ = store; }
   [[nodiscard]] const CalibrationStore* calibration() const {
@@ -121,35 +108,25 @@ class PathConfigurator {
   void set_topology(const topo::Topology* topo) { topology_ = topo; }
   [[nodiscard]] const topo::Topology* topology() const { return topology_; }
 
-  /// Algorithm 1: returns the cached or freshly computed optimal
-  /// configuration. `paths` must be non-empty with the direct path first.
-  [[nodiscard]] const TransferConfig& configure(
+  /// Algorithm 1: the optimal configuration. `paths` must be non-empty
+  /// with the direct path first.
+  [[nodiscard]] TransferConfig configure(
       topo::DeviceId src, topo::DeviceId dst, std::uint64_t bytes,
-      std::span<const topo::PathPlan> paths);
+      std::span<const topo::PathPlan> paths) const;
 
   /// Like configure(), but over an arbitrary non-empty path subset: the
   /// first candidate plays the anchor role (absorbs the rounding remainder
   /// and is never excluded by the theta solver) regardless of its kind.
   /// Used by the recovery re-planner when the direct path itself is dead
-  /// and the remainder must be re-split over the surviving paths.
-  [[nodiscard]] const TransferConfig& configure_over(
-      topo::DeviceId src, topo::DeviceId dst, std::uint64_t bytes,
-      std::span<const topo::PathPlan> paths);
-
-  /// Pure read path: compute the optimal configuration WITHOUT touching
-  /// the cache, LRU list, or hit counters. This is the snapshot-shareable
-  /// entry point for parallel sweeps — many threads may call it
-  /// concurrently on one const PathConfigurator over an immutable
-  /// ModelRegistry, and it returns bit-identical results to configure()
-  /// on a cold cache (same arithmetic, same order).
+  /// and the remainder must be re-split over the surviving paths. Const
+  /// and stateless, so many threads may call it concurrently on one
+  /// configurator over an immutable ModelRegistry.
   [[nodiscard]] TransferConfig compute_config(
       topo::DeviceId src, topo::DeviceId dst, std::uint64_t bytes,
-      std::span<const topo::PathPlan> paths) const {
-    return compute(src, dst, bytes, paths);
-  }
+      std::span<const topo::PathPlan> paths) const;
 
   /// Algorithm 1 lines 7-21 only: resolve parameters and adjusted terms,
-  /// no theta solve. Pure (cache untouched).
+  /// no theta solve.
   [[nodiscard]] PreparedTransfer prepare(
       topo::DeviceId src, topo::DeviceId dst, std::uint64_t bytes,
       std::span<const topo::PathPlan> paths) const;
@@ -157,71 +134,21 @@ class PathConfigurator {
   /// Algorithm 1 lines 22-29 from an externally supplied theta solution
   /// (e.g. the joint scheduler's contention-aware solve): integer byte
   /// shares with the remainder on paths[0], chunk counts, and per-path
-  /// predicted times from `prepared.terms`. Pure (cache untouched).
+  /// predicted times from `prepared.terms`.
   /// compute_config(...) == config_from_theta(prepare(...), solve(...)).
   [[nodiscard]] TransferConfig config_from_theta(
       const PreparedTransfer& prepared, std::uint64_t bytes,
       std::span<const topo::PathPlan> paths, const ThetaSolution& sol) const;
 
-  [[nodiscard]] std::uint64_t cache_hits() const { return cache_hits_; }
-  [[nodiscard]] std::uint64_t cache_misses() const { return cache_misses_; }
-  /// Distinct request tuples that hashed onto an occupied key. Each one
-  /// recomputes and replaces the entry instead of returning the colliding
-  /// config.
-  [[nodiscard]] std::uint64_t cache_collisions() const {
-    return cache_collisions_;
-  }
-  /// Entries dropped by the LRU bound (always 0 with cache_capacity == 0).
-  [[nodiscard]] std::uint64_t cache_evictions() const {
-    return cache_evictions_;
-  }
-  /// Cached entries that matched their tuple but were computed under an
-  /// older calibration snapshot; each recomputes under the current one.
-  [[nodiscard]] std::uint64_t cache_invalidations() const {
-    return cache_invalidations_;
-  }
-  [[nodiscard]] std::size_t cache_size() const { return cache_.size(); }
-  void clear_cache() {
-    cache_.clear();
-    lru_.clear();
-  }
+  /// Always 0: the configurator keeps no cache (the plan cache is
+  /// pipeline::GraphCache). Kept because the perfbench report reads them
+  /// (model.cache_hit_ratio).
+  [[nodiscard]] std::uint64_t cache_hits() const { return 0; }
+  [[nodiscard]] std::uint64_t cache_misses() const { return 0; }
 
   [[nodiscard]] const ConfiguratorOptions& options() const { return options_; }
 
  private:
-  /// FNV-1a bucket address of a request tuple (distinct tuples can collide;
-  /// lookups verify the full tuple).
-  [[nodiscard]] std::uint64_t cache_key(
-      topo::DeviceId src, topo::DeviceId dst, std::uint64_t bytes,
-      std::span<const topo::PathPlan> paths) const;
-  [[nodiscard]] TransferConfig compute(
-      topo::DeviceId src, topo::DeviceId dst, std::uint64_t bytes,
-      std::span<const topo::PathPlan> paths) const;
-
-  struct CacheEntry {
-    TransferConfig config;
-    /// The full request tuple the entry was computed for. A hash collision
-    /// between distinct tuples must miss, not alias: the key alone is not
-    /// proof of identity.
-    topo::DeviceId src = 0;
-    topo::DeviceId dst = 0;
-    std::uint64_t bytes = 0;
-    std::vector<topo::PathPlan> paths;
-    /// Calibration snapshot version the config was computed under. A
-    /// version bump makes the entry stale: the stored split would reflect
-    /// superseded alpha/beta.
-    std::uint64_t cal_version = 0;
-    /// Position in lru_ (most-recent at the front).
-    std::list<std::uint64_t>::iterator recency;
-
-    [[nodiscard]] bool matches(
-        topo::DeviceId s, topo::DeviceId d, std::uint64_t b,
-        std::span<const topo::PathPlan> p) const {
-      return src == s && dst == d && bytes == b &&
-             std::equal(paths.begin(), paths.end(), p.begin(), p.end());
-    }
-  };
-
   /// Shared-edge bandwidth derates for one request's candidate set: 1.0
   /// for paths whose hop routes touch no edge used by another candidate,
   /// else bottleneck(cap_e) / bottleneck(cap_e / users_e) >= 1.
@@ -233,13 +160,6 @@ class PathConfigurator {
   ConfiguratorOptions options_;
   const CalibrationStore* calibration_ = nullptr;
   const topo::Topology* topology_ = nullptr;
-  std::unordered_map<std::uint64_t, CacheEntry> cache_;
-  std::list<std::uint64_t> lru_;  ///< keys, most-recently-used first
-  std::uint64_t cache_hits_ = 0;
-  std::uint64_t cache_misses_ = 0;
-  std::uint64_t cache_evictions_ = 0;
-  std::uint64_t cache_collisions_ = 0;
-  std::uint64_t cache_invalidations_ = 0;
 };
 
 }  // namespace mpath::model

@@ -98,7 +98,7 @@ struct ModelDrivenOptions {
   /// from it: one of the template's paths is unhealthy, link capacities
   /// changed since compile, or the scheduler sees contention the compiled
   /// split did not. The cache must outlive the channel. Null (default)
-  /// disables compiled replay entirely.
+  /// disables compiled replay: every multi-path transfer then solves theta.
   GraphCache* graphs = nullptr;
 };
 

@@ -36,7 +36,9 @@
 // epoch superseded, calibration version superseded, step-key/size mismatch
 // (algorithm drift), and contended round (admit_chain refusal — round
 // falls back, chain survives). A killed chain is removed from the cache and
-// recaptured on the next invocation. Step templates are plans only: every
+// recaptured on the next invocation. The cache is a util::LruCache keyed by
+// ChainKey and stamped with the calibration version — the plan cache's
+// mechanism one level up. Step templates are plans only: every
 // step replay acquires and returns its own staging lease and events, so
 // steps sharing a template may replay concurrently.
 //
@@ -47,7 +49,6 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -55,6 +56,7 @@
 #include "mpath/pipeline/graph.hpp"
 #include "mpath/pipeline/scheduler.hpp"
 #include "mpath/transport/fabric.hpp"
+#include "mpath/util/lru_cache.hpp"
 
 namespace mpath::pipeline {
 
@@ -71,6 +73,10 @@ struct ChainKey {
   int variant = 0;            ///< extra identity (e.g. broadcast root)
   std::uint64_t payload = 0;  ///< the collective's byte size
   friend bool operator==(const ChainKey&, const ChainKey&) = default;
+};
+
+struct ChainKeyHash {
+  [[nodiscard]] std::size_t operator()(const ChainKey& k) const;
 };
 
 struct ChainStats {
@@ -140,8 +146,6 @@ class CollectiveGraph {
   [[nodiscard]] std::size_t round_count() const { return rounds_.size(); }
   [[nodiscard]] const std::vector<Step>& steps() const { return steps_; }
   [[nodiscard]] const std::vector<Round>& rounds() const { return rounds_; }
-  /// Distinct compiled templates (shared steps counted once).
-  [[nodiscard]] std::size_t template_count() const;
   [[nodiscard]] std::uint64_t capacity_epoch() const {
     return capacity_epoch_;
   }
@@ -255,9 +259,9 @@ class ChainController {
   ModelDrivenChannel* channel_;
   ChainOptions options_;
   ChainStats stats_;
-  /// LRU chain cache, most-recently-used first (linear scan: a handful of
-  /// collectives per workload).
-  std::list<ChainPtr> cache_;
+  /// Chain cache keyed by ChainKey and stamped with the calibration
+  /// version each chain was sealed under.
+  util::LruCache<ChainKey, ChainPtr, ChainKeyHash> cache_;
 
   // Active invocation state.
   bool active_ = false;

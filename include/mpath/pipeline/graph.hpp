@@ -8,9 +8,11 @@
 // walks (resolved streams, chunk tables), and PipelineEngine::replay runs
 // that driver over it. execute_monitored builds the same plan for one
 // transfer on its own frame and runs the same driver, so there is no second
-// op sequence to keep in step. A GraphCache keyed like the config cache
-// makes the steady state: lookup, replay, done — no theta solve, no plan
-// construction, no per-chunk setup.
+// op sequence to keep in step. The GraphCache is the plan cache — the
+// "look up config" step of Algorithm 1, with the template as the cached
+// entry — and makes the steady state: lookup, replay, done — no theta
+// solve, no plan construction, no per-chunk setup. PathConfigurator keeps
+// no cache of its own, so with graphs off every transfer solves theta.
 //
 // A template is a plan, not a resource holder: every execution, fresh or
 // replayed, acquires its own staging leases and events through the same
@@ -22,21 +24,20 @@
 //
 // Lifetime: a graph names streams of the PipelineEngine that compiled it
 // and replays only there. Graphs are shared_ptr-held so LRU eviction while
-// a replay is executing is safe (the replay frame keeps its snapshot alive
-// — the same by-value discipline as the PR 6 config-cache fix).
+// a replay is executing is safe (the replay frame keeps its snapshot
+// alive).
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "mpath/gpusim/runtime.hpp"
 #include "mpath/model/configurator.hpp"
 #include "mpath/topo/paths.hpp"
+#include "mpath/util/lru_cache.hpp"
 #include "mpath/util/small_vec.hpp"
 
 namespace mpath::pipeline {
@@ -116,37 +117,28 @@ struct GraphCacheOptions {
   /// this. 0 = unbounded. Templates hold no staging buffers or events, so
   /// the bound is host memory only.
   std::size_t capacity = 32;
-  /// Key width test hook, exactly as ConfiguratorOptions::cache_key_bits:
-  /// narrowing forces FNV collisions between distinct tuples.
-  int key_bits = 64;
 };
 
-struct GraphCacheStats {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t inserts = 0;
-  std::uint64_t evictions = 0;
-  /// Entries whose tuple matched but were compiled under a superseded
-  /// calibration snapshot; each is dropped so the caller recompiles.
-  std::uint64_t invalidations = 0;
-  /// Distinct tuples that hashed onto an occupied key (lookup must miss).
-  std::uint64_t collisions = 0;
-};
+/// Plan-cache counters; `invalidations` counts templates compiled under a
+/// superseded calibration snapshot, dropped so the caller recompiles.
+using GraphCacheStats = util::LruStats;
 
-/// LRU-bounded, calibration-version-stamped template cache, keyed like the
-/// config cache on the full (src, dst, bytes, path-set) tuple with FNV-1a
-/// bucket addressing plus full-tuple verification on hit. Mutex-protected:
-/// the replay hot path is engine-single-threaded (the lock is uncontended),
-/// but sweep tooling may build/inspect caches from multiple threads.
+/// The plan cache: Algorithm 1's "look up config" step. A util::LruCache of
+/// templates keyed by the full (src, dst, bytes, path-set) tuple and
+/// stamped with the calibration version they were compiled under. A lookup
+/// probes with a borrowed view of the tuple, so a hit allocates nothing.
+/// Mutex-protected: the replay hot path is engine-single-threaded (the lock
+/// is uncontended), but sweep tooling may build/inspect caches from
+/// multiple threads.
 class GraphCache {
  public:
   explicit GraphCache(GraphCacheOptions options = {});
   GraphCache(const GraphCache&) = delete;
   GraphCache& operator=(const GraphCache&) = delete;
 
-  /// The cached template for the tuple, or nullptr (miss, collision, or a
-  /// stale calibration stamp — stale entries are dropped so the caller
-  /// recompiles under the current snapshot).
+  /// The cached template for the tuple, or nullptr (miss, or a stale
+  /// calibration stamp — stale entries are dropped so the caller recompiles
+  /// under the current snapshot).
   [[nodiscard]] GraphPtr lookup(topo::DeviceId src, topo::DeviceId dst,
                                 std::uint64_t bytes,
                                 std::span<const topo::PathPlan> paths,
@@ -166,26 +158,34 @@ class GraphCache {
   [[nodiscard]] GraphCacheStats stats() const;  ///< by-value snapshot
   [[nodiscard]] const GraphCacheOptions& options() const { return options_; }
 
-  /// FNV-1a bucket address (same mixing as PathConfigurator::cache_key).
-  [[nodiscard]] std::uint64_t cache_key(
-      topo::DeviceId src, topo::DeviceId dst, std::uint64_t bytes,
-      std::span<const topo::PathPlan> paths) const;
-
  private:
-  struct Entry {
-    GraphPtr graph;
-    std::uint64_t cal_version = 0;
-    std::list<std::uint64_t>::iterator recency;
+  /// The tuple a template was planned for, owned (the stored key) or
+  /// borrowed (a lookup probe); hash and equality accept either.
+  struct KeyView {
+    topo::DeviceId src = topo::kInvalidDevice;
+    topo::DeviceId dst = topo::kInvalidDevice;
+    std::uint64_t bytes = 0;
+    std::span<const topo::PathPlan> paths;
   };
-  [[nodiscard]] static bool entry_matches(
-      const Entry& e, topo::DeviceId src, topo::DeviceId dst,
-      std::uint64_t bytes, std::span<const topo::PathPlan> paths);
+  struct Key {
+    topo::DeviceId src = topo::kInvalidDevice;
+    topo::DeviceId dst = topo::kInvalidDevice;
+    std::uint64_t bytes = 0;
+    std::vector<topo::PathPlan> paths;
+    operator KeyView() const { return {src, dst, bytes, paths}; }  // NOLINT
+  };
+  struct KeyHash {
+    using is_transparent = void;
+    std::size_t operator()(const KeyView& k) const;
+  };
+  struct KeyEq {
+    using is_transparent = void;
+    bool operator()(const KeyView& a, const KeyView& b) const;
+  };
 
   mutable std::mutex mutex_;
   GraphCacheOptions options_;
-  std::unordered_map<std::uint64_t, Entry> map_;
-  std::list<std::uint64_t> lru_;  ///< keys, most-recently-used first
-  GraphCacheStats stats_;
+  util::LruCache<Key, GraphPtr, KeyHash, KeyEq> cache_;
 };
 
 }  // namespace mpath::pipeline

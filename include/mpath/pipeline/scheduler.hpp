@@ -203,7 +203,7 @@ class TransferScheduler {
 
   /// Recovery re-plan: replace the ticket's footprint with a fresh joint
   /// plan for the undelivered `bytes` over the `survivors` subset
-  /// (survivors[0] is the anchor, configure_over semantics). The ticket's
+  /// (survivors[0] is the anchor, compute_config semantics). The ticket's
   /// history record is continued, not re-created.
   [[nodiscard]] model::TransferConfig replan(
       TicketId ticket, std::uint64_t bytes,

@@ -168,6 +168,11 @@ class Worker {
   [[nodiscard]] std::size_t pending_nack_count() const {
     return nacks_.size();
   }
+  /// (src, tag) channels with a matched high-water mark for NACK staleness
+  /// checks (always 0 without rendezvous timeouts).
+  [[nodiscard]] std::size_t tracked_channel_count() const {
+    return matched_hwm_.size();
+  }
 
  private:
   friend class Fabric;

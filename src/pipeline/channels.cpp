@@ -297,8 +297,7 @@ ModelDrivenChannel::transfer_uncaptured(gpusim::DeviceBuffer& dst,
     }
   }
   if (g == nullptr) {
-    // Copy out of the configurator's cache: an LRU eviction during the
-    // transfer below must not invalidate what we executed (or report).
+    // Without a plan cache every transfer solves theta.
     cfg = configurator_->configure(src.device(), dst.device(), bytes, paths);
     if (options_.graphs != nullptr) {
       g = compile_template(src.device(), dst.device(), cfg);
@@ -381,11 +380,9 @@ sim::Task<void> ModelDrivenChannel::transfer_with_recovery(
   double first_timeout = -1.0;
   ScheduleGuard guard;
   guard.sched = scheduler_;
-  // The current attempt's configuration. A by-value snapshot, NOT a
-  // reference into the configurator's LRU cache, and never last_config_:
-  // it is read again after co_await, by when a concurrent transfer on the
-  // same configurator could have evicted the entry or overwritten the
-  // shared member.
+  // The current attempt's configuration, held here and never in
+  // last_config_: it is read again after co_await, by when a concurrent
+  // transfer on this channel could have overwritten the shared member.
   model::TransferConfig config;
 
   while (!todo.empty()) {
@@ -458,7 +455,7 @@ sim::Task<void> ModelDrivenChannel::transfer_with_recovery(
           config = scheduler_->replan(guard.ticket, seg.bytes, use);
         }
       } else {
-        config = configurator_->configure_over(src.device(), dst.device(),
+        config = configurator_->compute_config(src.device(), dst.device(),
                                                seg.bytes, use);
       }
       if (compile_eligible && uncontended) {

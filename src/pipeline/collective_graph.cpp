@@ -1,7 +1,7 @@
 #include "mpath/pipeline/collective_graph.hpp"
 
+#include <functional>
 #include <map>
-#include <set>
 #include <span>
 #include <stdexcept>
 #include <tuple>
@@ -12,17 +12,19 @@
 
 namespace mpath::pipeline {
 
-std::size_t CollectiveGraph::template_count() const {
-  std::set<const TransferGraph*> uniq;
-  for (const Step& s : steps_) {
-    if (s.graph != nullptr) uniq.insert(s.graph.get());
+std::size_t ChainKeyHash::operator()(const ChainKey& k) const {
+  std::size_t h = std::hash<std::string>{}(k.name);
+  for (const std::uint64_t v :
+       {static_cast<std::uint64_t>(k.world), static_cast<std::uint64_t>(k.algo),
+        static_cast<std::uint64_t>(k.variant), k.payload}) {
+    h = (h ^ v) * 1099511628211ull;
   }
-  return uniq.size();
+  return h;
 }
 
 ChainController::ChainController(ModelDrivenChannel& channel,
                                  ChainOptions options)
-    : channel_(&channel), options_(options) {
+    : channel_(&channel), options_(options), cache_(options.cache_capacity) {
   if (channel.options().recovery.enabled) {
     throw std::invalid_argument(
         "ChainController: recovery-enabled channels cannot chain (partial "
@@ -94,23 +96,22 @@ void ChainController::leave() {
 }
 
 ChainController::ChainPtr ChainController::resolve(const ChainKey& key) {
-  for (auto it = cache_.begin(); it != cache_.end(); ++it) {
-    if ((*it)->key_ != key) continue;
-    ChainPtr chain = *it;
-    if (chain->cal_version_ != channel_->graph_cal_version()) {
-      // Calibration superseded: every compiled split is stale.
-      kill(*chain, &ChainStats::stale_cal_kills);
-      return nullptr;
-    }
-    if (channel_->scheduler() != nullptr &&
-        chain->capacity_epoch_ != scheduler_epoch()) {
-      kill(*chain, &ChainStats::epoch_kills);
-      return nullptr;
-    }
-    cache_.splice(cache_.begin(), cache_, it);
-    return chain;
+  // Between invocations no round holds admitted tickets (leave and kill
+  // unwind them), so a chain the cache drops here needs no unwinding.
+  const auto found = cache_.find(key, channel_->graph_cal_version());
+  if (found.stale) {
+    // Calibration superseded: every compiled split is stale.
+    ++stats_.stale_cal_kills;
+    return nullptr;
   }
-  return nullptr;
+  if (found.value == nullptr) return nullptr;
+  ChainPtr chain = *found.value;
+  if (channel_->scheduler() != nullptr &&
+      chain->capacity_epoch_ != scheduler_epoch()) {
+    kill(*chain, &ChainStats::epoch_kills);
+    return nullptr;
+  }
+  return chain;
 }
 
 void ChainController::seal(const ChainPtr& chain) {
@@ -139,8 +140,7 @@ void ChainController::seal(const ChainPtr& chain) {
   c.capacity_epoch_ = scheduler_epoch();
   c.state_ = CollectiveGraph::State::kReady;
   ++stats_.captures;
-  cache_.push_front(chain);
-  while (cache_.size() > options_.cache_capacity) cache_.pop_back();
+  cache_.insert(c.key_, chain, c.cal_version_);
 }
 
 void ChainController::build_rounds(CollectiveGraph& chain) {
@@ -167,12 +167,10 @@ void ChainController::kill(CollectiveGraph& chain,
   // water-fill against tickets no replay will ever claim.
   unwind_unclaimed(chain);
   chain.state_ = CollectiveGraph::State::kDead;
-  for (auto it = cache_.begin(); it != cache_.end(); ++it) {
-    if (it->get() == &chain) {
-      cache_.erase(it);
-      break;
-    }
-  }
+  // Only a cached chain replays, and nothing is sealed mid-invocation, so
+  // the entry under this key is this chain. Last: erasing may drop the
+  // cache's reference to it.
+  cache_.erase(chain.key_);
 }
 
 void ChainController::unwind_unclaimed(CollectiveGraph& chain) {
@@ -338,7 +336,7 @@ ChainController::Claim ChainController::claim_step(const Pending& p) {
 
 void ChainController::clear() {
   if (inv_chain_ != nullptr) unwind_unclaimed(*inv_chain_);
-  for (const ChainPtr& c : cache_) unwind_unclaimed(*c);
+  cache_.for_each([this](const ChainPtr& c) { unwind_unclaimed(*c); });
   cache_.clear();
   inv_chain_ = nullptr;
   capturing_ = false;

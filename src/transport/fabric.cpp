@@ -80,6 +80,11 @@ bool matches(int want_src, int want_tag, int src, int tag) {
 }  // namespace
 
 void Worker::note_matched(int src, int tag, std::uint64_t seq) {
+  // Only NACKs read the marks, and only rendezvous timeouts send NACKs; the
+  // timeout is fixed for the fabric's lifetime, so without one there is
+  // nothing to track. (With timeouts on, the map still grows by one entry
+  // per (src, tag) ever matched.)
+  if (!(fabric_->options_.rendezvous_timeout_s > 0.0)) return;
   auto& hwm = matched_hwm_[{src, tag}];
   if (seq > hwm) hwm = seq;
   // A live match supersedes any older failure notice for the channel.

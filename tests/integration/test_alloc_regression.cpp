@@ -138,3 +138,39 @@ TEST(AllocRegression, ReplaySteadyStateRoundIsAllocationFree) {
             0u);
 #endif
 }
+
+// Algorithm 1's "look up config" step on the replay hot path: a plan-cache
+// hit probes with a borrowed view of the (src, dst, bytes, path-set) tuple,
+// so it performs no allocation at all.
+TEST(AllocRegression, PlanCacheLookupHitIsAllocationFree) {
+  ASSERT_TRUE(mpath::benchcore::alloc_hook_active());
+  mt::System sys = mt::make_beluga();
+  ms::Engine engine;
+  ms::FluidNetwork net(engine);
+  mg::GpuRuntime rt(sys, engine, net);
+  mp::PipelineEngine pipe(rt);
+  const std::vector<mt::DeviceId> gpus = sys.topology.gpus();
+  mpath::model::TransferConfig config;
+  for (const mp::ExecPath& p : worker_plan(gpus[2])) {
+    mpath::model::PathShare share;
+    share.plan = p.plan;
+    share.bytes = p.bytes;
+    share.chunks = p.chunks;
+    config.paths.push_back(share);
+  }
+  config.total_bytes = 4_MiB;
+  const auto graph = pipe.compile_graph(gpus[0], gpus[1], config);
+  ASSERT_NE(graph, nullptr);
+  const std::vector<mt::PathPlan> paths(graph->key_paths().begin(),
+                                        graph->key_paths().end());
+  mp::GraphCache cache;
+  cache.insert(graph, /*cal_version=*/0);
+  const mpath::benchcore::AllocScope scope;
+  for (int i = 0; i < 64; ++i) {
+    const auto hit = cache.lookup(gpus[0], gpus[1], graph->total_bytes(),
+                                  paths, /*cal_version=*/0);
+    ASSERT_EQ(hit, graph);
+  }
+  EXPECT_EQ(scope.delta(), 0u);
+  EXPECT_EQ(cache.stats().hits, 64u);
+}

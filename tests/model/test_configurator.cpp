@@ -116,33 +116,23 @@ TEST(Configurator, HostPathGetsSmallerShareThanNvlinkPaths) {
   EXPECT_GT(host_share.bytes, 0u);  // but it still contributes at 512MB
 }
 
-TEST(Configurator, CacheHitsOnRepeatedRequests) {
+// The configurator is a pure solver: a repeated request recomputes the
+// identical configuration, and the cache counters perfbench reads stay 0.
+TEST(Configurator, RepeatedRequestsRecomputeIdentically) {
   Fixture f;
-  mm::PathConfigurator cfg(f.reg);
-  const auto paths = f.paths(mt::PathPolicy::two_gpus());
-  (void)cfg.configure(f.gpus[0], f.gpus[1], 64u << 20, paths);
-  (void)cfg.configure(f.gpus[0], f.gpus[1], 64u << 20, paths);
-  (void)cfg.configure(f.gpus[0], f.gpus[1], 64u << 20, paths);
-  EXPECT_EQ(cfg.cache_misses(), 1u);
-  EXPECT_EQ(cfg.cache_hits(), 2u);
-  // Different size is a different entry.
-  (void)cfg.configure(f.gpus[0], f.gpus[1], 128u << 20, paths);
-  EXPECT_EQ(cfg.cache_misses(), 2u);
-  cfg.clear_cache();
-  (void)cfg.configure(f.gpus[0], f.gpus[1], 64u << 20, paths);
-  EXPECT_EQ(cfg.cache_misses(), 3u);
-}
-
-TEST(Configurator, CacheCanBeDisabled) {
-  Fixture f;
-  mm::ConfiguratorOptions opt;
-  opt.cache_enabled = false;
-  mm::PathConfigurator cfg(f.reg, opt);
-  const auto paths = f.paths(mt::PathPolicy::two_gpus());
-  (void)cfg.configure(f.gpus[0], f.gpus[1], 64u << 20, paths);
-  (void)cfg.configure(f.gpus[0], f.gpus[1], 64u << 20, paths);
+  const mm::PathConfigurator cfg(f.reg);
+  const auto paths = f.paths(mt::PathPolicy::three_gpus());
+  const auto a = cfg.configure(f.gpus[0], f.gpus[1], 64u << 20, paths);
+  const auto b = cfg.configure(f.gpus[0], f.gpus[1], 64u << 20, paths);
+  ASSERT_EQ(a.paths.size(), b.paths.size());
+  for (std::size_t i = 0; i < a.paths.size(); ++i) {
+    EXPECT_EQ(a.paths[i].bytes, b.paths[i].bytes);
+    EXPECT_EQ(a.paths[i].chunks, b.paths[i].chunks);
+    EXPECT_EQ(a.paths[i].theta, b.paths[i].theta);
+  }
+  EXPECT_EQ(a.predicted_time, b.predicted_time);
   EXPECT_EQ(cfg.cache_hits(), 0u);
-  EXPECT_EQ(cfg.cache_misses(), 2u);
+  EXPECT_EQ(cfg.cache_misses(), 0u);
 }
 
 TEST(Configurator, SequentialInitiationPenalizesLaterPaths) {
@@ -228,7 +218,7 @@ TEST(Configurator, ContentionFactorAppliesOnlyAboveThreshold) {
   EXPECT_LT(with_big.paths[1].bytes, clean_big.paths[1].bytes);
 }
 
-// configure_over: the recovery re-planner's entry point. It accepts any
+// compute_config: the recovery re-planner's entry point. It accepts any
 // candidate ordering — in particular a staged-only survivor set after the
 // direct path died — anchors the rounding remainder on the first candidate,
 // and still assigns every byte.
@@ -240,135 +230,18 @@ TEST(Configurator, ConfigureOverAcceptsStagedOnlySurvivors) {
   // fires; survivors start with a staged path.
   std::vector<mt::PathPlan> survivors(all.begin() + 1, all.end());
   ASSERT_NE(survivors.front().kind, mt::PathKind::Direct);
-  // configure() refuses this ordering; configure_over() embraces it.
+  // configure() refuses this ordering; compute_config() embraces it.
   EXPECT_THROW(
       (void)cfg.configure(f.gpus[0], f.gpus[1], 64u << 20, survivors),
       std::invalid_argument);
-  const auto& c =
-      cfg.configure_over(f.gpus[0], f.gpus[1], 64u << 20, survivors);
+  const auto c =
+      cfg.compute_config(f.gpus[0], f.gpus[1], 64u << 20, survivors);
   EXPECT_EQ(sum_bytes(c), 64u << 20);
   EXPECT_GT(c.paths.front().bytes, 0u);
   for (const auto& share : c.paths) {
     EXPECT_EQ(share.plan.kind == mt::PathKind::Direct, false);
   }
   EXPECT_GT(c.predicted_time, 0.0);
-}
-
-// configure() and configure_over() share one cache; distinct candidate
-// subsets must never collide on a cache entry.
-TEST(Configurator, ConfigureOverSubsetsDoNotCollideInCache) {
-  Fixture f;
-  mm::PathConfigurator cfg(f.reg);
-  const auto all = f.paths(mt::PathPolicy::three_gpus());
-  const std::uint64_t n = 32u << 20;
-  const auto& full = cfg.configure(f.gpus[0], f.gpus[1], n, all);
-  const auto full_direct_bytes = full.paths[0].bytes;
-  std::vector<mt::PathPlan> survivors(all.begin() + 1, all.end());
-  const auto& reduced = cfg.configure_over(f.gpus[0], f.gpus[1], n, survivors);
-  EXPECT_EQ(reduced.paths.size(), survivors.size());
-  EXPECT_EQ(sum_bytes(reduced), n);
-  // Re-request the full set: the cached entry is intact, not clobbered.
-  const auto& again = cfg.configure(f.gpus[0], f.gpus[1], n, all);
-  EXPECT_EQ(again.paths[0].bytes, full_direct_bytes);
-  EXPECT_EQ(again.paths.size(), all.size());
-}
-
-// LRU bound: with cache_capacity set, the cache never holds more entries
-// than the bound and drops the least-recently-used request first.
-TEST(Configurator, CacheCapacityBoundsEntryCount) {
-  Fixture f;
-  mm::ConfiguratorOptions opt;
-  opt.cache_capacity = 2;
-  mm::PathConfigurator cfg(f.reg, opt);
-  const auto paths = f.paths(mt::PathPolicy::two_gpus());
-  (void)cfg.configure(f.gpus[0], f.gpus[1], 16u << 20, paths);
-  (void)cfg.configure(f.gpus[0], f.gpus[1], 32u << 20, paths);
-  EXPECT_EQ(cfg.cache_size(), 2u);
-  EXPECT_EQ(cfg.cache_evictions(), 0u);
-  (void)cfg.configure(f.gpus[0], f.gpus[1], 64u << 20, paths);
-  EXPECT_EQ(cfg.cache_size(), 2u);
-  EXPECT_EQ(cfg.cache_evictions(), 1u);
-}
-
-TEST(Configurator, CacheHitsRefreshRecency) {
-  Fixture f;
-  mm::ConfiguratorOptions opt;
-  opt.cache_capacity = 2;
-  mm::PathConfigurator cfg(f.reg, opt);
-  const auto paths = f.paths(mt::PathPolicy::two_gpus());
-  const std::uint64_t a = 16u << 20, b = 32u << 20, c = 64u << 20;
-  (void)cfg.configure(f.gpus[0], f.gpus[1], a, paths);
-  (void)cfg.configure(f.gpus[0], f.gpus[1], b, paths);
-  // Touch `a` so `b` becomes least-recently-used, then overflow with `c`.
-  (void)cfg.configure(f.gpus[0], f.gpus[1], a, paths);
-  (void)cfg.configure(f.gpus[0], f.gpus[1], c, paths);
-  EXPECT_EQ(cfg.cache_evictions(), 1u);
-  const auto misses_before = cfg.cache_misses();
-  (void)cfg.configure(f.gpus[0], f.gpus[1], a, paths);  // survived: hit
-  EXPECT_EQ(cfg.cache_misses(), misses_before);
-  (void)cfg.configure(f.gpus[0], f.gpus[1], b, paths);  // evicted: miss
-  EXPECT_EQ(cfg.cache_misses(), misses_before + 1);
-}
-
-TEST(Configurator, ZeroCapacityMeansUnbounded) {
-  Fixture f;
-  mm::PathConfigurator cfg(f.reg);  // default cache_capacity = 0
-  const auto paths = f.paths(mt::PathPolicy::two_gpus());
-  for (std::uint64_t i = 1; i <= 32; ++i) {
-    (void)cfg.configure(f.gpus[0], f.gpus[1], i << 20, paths);
-  }
-  EXPECT_EQ(cfg.cache_size(), 32u);
-  EXPECT_EQ(cfg.cache_evictions(), 0u);
-}
-
-// With capacity >= 1 the entry just inserted is always the most recent, so
-// the reference configure() returns is never the one evicted.
-TEST(Configurator, ReturnedReferenceSurvivesEviction) {
-  Fixture f;
-  mm::ConfiguratorOptions opt;
-  opt.cache_capacity = 1;
-  mm::PathConfigurator cfg(f.reg, opt);
-  const auto paths = f.paths(mt::PathPolicy::two_gpus());
-  (void)cfg.configure(f.gpus[0], f.gpus[1], 16u << 20, paths);
-  const auto& c = cfg.configure(f.gpus[0], f.gpus[1], 32u << 20, paths);
-  EXPECT_EQ(cfg.cache_size(), 1u);
-  EXPECT_EQ(cfg.cache_evictions(), 1u);
-  EXPECT_EQ(sum_bytes(c), 32u << 20);
-  // clear_cache() resets both the map and the recency list coherently.
-  cfg.clear_cache();
-  EXPECT_EQ(cfg.cache_size(), 0u);
-  const auto& again = cfg.configure(f.gpus[0], f.gpus[1], 32u << 20, paths);
-  EXPECT_EQ(sum_bytes(again), 32u << 20);
-}
-
-// Regression: the cache used to trust the FNV-1a key alone, so two distinct
-// request tuples hashing onto the same key silently aliased — the second
-// request got the first request's config. cache_key_bits = 1 forces every
-// request onto one of two keys, guaranteeing collisions without hunting for
-// real 64-bit FNV collisions.
-TEST(Configurator, HashCollisionDoesNotAliasConfigs) {
-  Fixture f;
-  mm::ConfiguratorOptions opt;
-  opt.cache_key_bits = 1;
-  mm::PathConfigurator cfg(f.reg, opt);
-  const auto paths = f.paths(mt::PathPolicy::two_gpus());
-  std::vector<std::uint64_t> sizes;
-  for (std::uint64_t i = 1; i <= 8; ++i) sizes.push_back(i << 20);
-  for (std::uint64_t n : sizes) {
-    // Every lookup must return the config for ITS tuple, not whatever
-    // tuple currently owns the colliding key.
-    const auto& c = cfg.configure(f.gpus[0], f.gpus[1], n, paths);
-    EXPECT_EQ(sum_bytes(c), n);
-    EXPECT_EQ(c.total_bytes, n);
-  }
-  // 8 distinct tuples over <= 2 keys: at least 6 detected collisions.
-  EXPECT_GE(cfg.cache_collisions(), 6u);
-  EXPECT_LE(cfg.cache_size(), 2u);
-  // A genuine repeat still hits.
-  const std::uint64_t hits_before = cfg.cache_hits();
-  const auto& c = cfg.configure(f.gpus[0], f.gpus[1], sizes.back(), paths);
-  EXPECT_EQ(c.total_bytes, sizes.back());
-  EXPECT_EQ(cfg.cache_hits(), hits_before + 1);
 }
 
 // compute_config == config_from_theta(prepare(...), ThetaSolver::solve) —

@@ -318,3 +318,24 @@ TEST(Collectives, MultiPathChannelSpeedsUpAlltoall) {
 
   EXPECT_LT(t_multi, t_direct);
 }
+
+// Without rendezvous timeouts no NACK can ever arrive, so the workers keep
+// no per-(src, tag) match marks. Collective tags only grow, so tracking them
+// would add one map node per message for the life of the world.
+TEST(Collectives, TimeoutsOffTrackNoMatchedChannels) {
+  Fixture f;
+  ASSERT_EQ(f.world.options().transport.rendezvous_timeout_s, 0.0);
+  AllreduceData data(f.world, 1024);
+  f.world.run([&](mi::Communicator& comm) -> ms::Task<void> {
+    for (int round = 0; round < 16; ++round) {
+      co_await mi::allreduce_sum(
+          comm, *data.bufs[static_cast<std::size_t>(comm.rank())],
+          mi::AllreduceAlgo::Ring);
+    }
+  });
+  EXPECT_GT(f.world.fabric().messages_sent(), 0u);
+  for (int r = 0; r < f.world.size(); ++r) {
+    EXPECT_EQ(f.world.fabric().worker(r).tracked_channel_count(), 0u) << r;
+    EXPECT_EQ(f.world.fabric().worker(r).pending_nack_count(), 0u) << r;
+  }
+}

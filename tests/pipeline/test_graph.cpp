@@ -466,33 +466,6 @@ TEST(GraphCache, StaleCalibrationVersionInvalidates) {
   EXPECT_EQ(cache.size(), 0u);
 }
 
-TEST(GraphCache, NarrowKeyCollisionsMissInsteadOfAliasing) {
-  Fixture f;
-  const auto paths = f.candidates(mt::PathPolicy::three_gpus());
-  const std::span<const mt::PathPlan> key{paths.data(), paths.size()};
-  mp::GraphCacheOptions opt;
-  opt.key_bits = 1;  // every tuple lands on one of two buckets
-  mp::GraphCache cache(opt);
-  for (std::uint64_t i = 1; i <= 6; ++i) {
-    const auto config =
-        f.cfg.compute_config(f.gpus[0], f.gpus[1], i << 20, paths);
-    auto g = f.pipe.compile_graph(f.gpus[0], f.gpus[1], config);
-    ASSERT_NE(g, nullptr);
-    cache.insert(std::move(g), 0);
-    // Whatever is resident, a lookup must only ever return ITS tuple.
-    const auto hit = cache.lookup(f.gpus[0], f.gpus[1], i << 20, key, 0);
-    if (hit != nullptr) EXPECT_EQ(hit->total_bytes(), i << 20);
-  }
-  EXPECT_LE(cache.size(), 2u);
-  // Probe every tuple again: displaced ones land on a bucket owned by a
-  // later collider and must miss (never alias), bumping the counter.
-  for (std::uint64_t i = 1; i <= 6; ++i) {
-    const auto hit = cache.lookup(f.gpus[0], f.gpus[1], i << 20, key, 0);
-    if (hit != nullptr) EXPECT_EQ(hit->total_bytes(), i << 20);
-  }
-  EXPECT_GE(cache.stats().collisions, 1u);
-}
-
 // ---------------------------------------------------------------------------
 // GraphCache under threads (TSan-covered via the CI concurrency regex)
 // ---------------------------------------------------------------------------
