@@ -135,6 +135,31 @@ TEST(Configurator, RepeatedRequestsRecomputeIdentically) {
   EXPECT_EQ(cfg.cache_misses(), 0u);
 }
 
+// Requests that differ only in size or only in path set once shared a
+// truncated cache key and got one another's config. Interleaved, each
+// request must still get the config for its own tuple.
+TEST(Configurator, HashCollisionDoesNotAliasConfigs) {
+  Fixture f;
+  const mm::PathConfigurator cfg(f.reg);
+  const auto wide = f.paths(mt::PathPolicy::three_gpus());
+  const auto narrow = f.paths(mt::PathPolicy::two_gpus());
+  ASSERT_NE(wide.size(), narrow.size());
+  for (int round = 0; round < 2; ++round) {
+    for (std::uint64_t i = 1; i <= 8; ++i) {
+      const std::uint64_t n = i << 20;
+      for (const auto* paths : {&wide, &narrow}) {
+        const auto c = cfg.configure(f.gpus[0], f.gpus[1], n, *paths);
+        EXPECT_EQ(c.total_bytes, n);
+        EXPECT_EQ(sum_bytes(c), n);
+        ASSERT_EQ(c.paths.size(), paths->size());
+        for (std::size_t p = 0; p < c.paths.size(); ++p) {
+          EXPECT_EQ(c.paths[p].plan, (*paths)[p]);
+        }
+      }
+    }
+  }
+}
+
 TEST(Configurator, SequentialInitiationPenalizesLaterPaths) {
   Fixture f;
   mm::ConfiguratorOptions with;

@@ -466,6 +466,49 @@ TEST(GraphCache, StaleCalibrationVersionInvalidates) {
   EXPECT_EQ(cache.size(), 0u);
 }
 
+// Tuples that agree on (src, dst, bytes) and differ only in the path set
+// are distinct keys. Churned through a two-entry cache, every lookup
+// returns the template compiled for its own tuple, or misses.
+TEST(GraphCache, NarrowKeyCollisionsMissInsteadOfAliasing) {
+  Fixture f;
+  const auto wide = f.candidates(mt::PathPolicy::three_gpus());
+  const auto narrow = f.candidates(mt::PathPolicy::two_gpus());
+  ASSERT_NE(wide.size(), narrow.size());
+  mp::GraphCacheOptions opt;
+  opt.capacity = 2;
+  mp::GraphCache cache(opt);
+  struct Tuple {
+    std::uint64_t bytes;
+    std::span<const mt::PathPlan> paths;
+    mp::GraphPtr graph;
+  };
+  std::vector<Tuple> tuples;
+  for (std::uint64_t i = 1; i <= 6; ++i) {
+    for (const auto* paths : {&wide, &narrow}) {
+      const auto config =
+          f.cfg.compute_config(f.gpus[0], f.gpus[1], i << 20, *paths);
+      auto g = f.pipe.compile_graph(f.gpus[0], f.gpus[1], config);
+      ASSERT_NE(g, nullptr);
+      cache.insert(g, 0);
+      tuples.push_back({i << 20, {paths->data(), paths->size()}, g});
+      EXPECT_EQ(cache.lookup(f.gpus[0], f.gpus[1], i << 20,
+                             tuples.back().paths, 0),
+                g);
+    }
+  }
+  EXPECT_EQ(cache.size(), 2u);
+  // Probe every tuple again: the displaced ones miss, never alias.
+  std::size_t hits = 0;
+  for (const auto& t : tuples) {
+    const auto hit = cache.lookup(f.gpus[0], f.gpus[1], t.bytes, t.paths, 0);
+    if (hit != nullptr) {
+      EXPECT_EQ(hit, t.graph);
+      ++hits;
+    }
+  }
+  EXPECT_EQ(hits, 2u);
+}
+
 // ---------------------------------------------------------------------------
 // GraphCache under threads (TSan-covered via the CI concurrency regex)
 // ---------------------------------------------------------------------------
