@@ -13,10 +13,15 @@
 // simulated instant); host-side issue overhead is modeled by the callers
 // (pipeline engine) so that sequential path initiation shows up exactly
 // where the paper's Algorithm 1 accounts for it (line 18).
+//
+// A stream is a FIFO of plain op records. Enqueueing on an idle stream
+// launches its one driver coroutine, which runs the ops in order, one
+// same-instant hop apart, and exits when the queue is empty. Order needs
+// no latch; only events (the cross-stream edges) and synchronize() hold one.
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <deque>
 #include <memory>
 #include <set>
 #include <vector>
@@ -190,27 +195,38 @@ class GpuRuntime {
   }
 
  private:
+  /// One queued stream op. `event` is the latch a record fires or a wait
+  /// awaits; `synced`, set by synchronize(), fires when the op completes.
+  struct Op {
+    enum class Kind : std::uint8_t { kCopy, kRecord, kWait, kDelay };
+    Kind kind = Kind::kDelay;
+    DeviceBuffer* dst = nullptr;
+    const DeviceBuffer* src = nullptr;
+    std::size_t dst_offset = 0;
+    std::size_t src_offset = 0;
+    std::size_t len = 0;
+    double seconds = 0.0;  ///< stream_delay only
+    CancelTokenPtr token{};
+    DoneHook on_done{};
+    std::shared_ptr<sim::Latch> event{};
+    std::shared_ptr<sim::Latch> synced{};
+  };
   struct Stream {
     topo::DeviceId device;
-    // Completion latch of the last enqueued op; ops chain on it.
-    std::shared_ptr<sim::Latch> tail;
+    std::vector<Op> queue{};  ///< [head] runs, later ones wait; empty = idle
+    std::size_t head = 0;
   };
   struct Event {
     // Latch of the most recent record; starts pre-fired (CUDA semantics).
     std::shared_ptr<sim::Latch> latch;
   };
 
-  /// Chain `op` after the current tail of `stream`; returns the new tail.
-  template <typename MakeOp>
-  void enqueue(StreamId stream, MakeOp&& make_op);
-
-  [[nodiscard]] sim::Task<void> run_copy(
-      std::shared_ptr<sim::Latch> prev, std::shared_ptr<sim::Latch> done,
-      DeviceBuffer& dst, std::size_t dst_offset, const DeviceBuffer& src,
-      std::size_t src_offset, std::size_t len, StreamId stream,
-      CancelTokenPtr token, DoneHook on_done);
-
-  [[nodiscard]] std::string stream_track(StreamId stream) const;
+  /// Append `op` to `stream`, launching its driver if the stream is idle.
+  void enqueue(StreamId stream, Op op);
+  /// Latch that fires when the last op now on busy stream `s` completes.
+  [[nodiscard]] std::shared_ptr<sim::Latch> sync_point(Stream& s);
+  /// Run `s`'s ops in order until its queue is empty.
+  [[nodiscard]] sim::Task<void> drive(Stream& s, StreamId stream);
 
   // Like the engine it drives, a runtime belongs to exactly one thread
   // (checked in debug builds); parallel sweeps build one per worker.
@@ -220,7 +236,7 @@ class GpuRuntime {
   sim::FluidNetwork* network_;
   topo::NetworkBinding binding_;
   util::Rng rng_;
-  std::vector<Stream> streams_;
+  std::deque<Stream> streams_;  ///< stable addresses for live drivers
   std::vector<Event> events_;
   std::vector<EventId> event_free_list_;  ///< released ids, LIFO reuse
   std::uint64_t events_acquired_ = 0;     ///< acquire_event calls

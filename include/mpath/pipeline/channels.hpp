@@ -52,7 +52,6 @@ class SinglePathChannel final : public gpusim::DataChannel {
 struct RecoveryOptions {
   bool enabled = false;
   double slack = 4.0;          ///< deadline = slack * predicted T_i
-  double min_deadline_s = 1e-3;  ///< floor so noise cannot trip tiny shares
   int max_replans = 3;
   /// Per-retry watchdog slack escalation: re-plan r of one transfer uses
   /// slack * min(retry_backoff^r, max_slack_factor). A flapping path then

@@ -10,8 +10,8 @@
 //   * admission plans the arriving transfer (or a whole batch, e.g. an
 //     allreduce storm) with model::JointThetaSolver: a capped max-min
 //     water-fill over the fluid links' capacities, with every in-flight
-//     transfer's paths as fixed flows and (optionally) non-scheduler
-//     traffic folded in as per-link background weight snapshotted from
+//     transfer's paths as fixed flows and non-scheduler traffic folded in
+//     as per-link background weight snapshotted from
 //     FluidNetwork::link_flow_weight;
 //   * the resulting per-path rates replace the solo Omegas in the Eq. 24
 //     equal-time solve, so both the split and the predicted times are
@@ -48,18 +48,6 @@ struct SchedulerOptions {
   /// ModelDrivenChannel — same admission bookkeeping, same history records.
   /// This is the ablation baseline the joint gate compares against.
   bool joint = true;
-  /// Fold fluid flows the scheduler does not own (per-link flow weight
-  /// minus the scheduler's own live paths) into the water-fill as
-  /// background load.
-  bool network_snapshot = true;
-  /// Subscribe to FluidNetwork capacity-change notifications: the modeled
-  /// residue of in-flight transfers is integrated up to the instant of
-  /// every sever/degrade/restore at the rates that actually governed the
-  /// elapsed window. Without it a restore mid-transfer is applied
-  /// retroactively across the whole window at the next admission, so
-  /// readmission probes plan against capacities that never existed. No
-  /// effect on fault-free runs (the listener never fires).
-  bool observe_capacity = true;
 };
 
 class TransferScheduler {
@@ -274,14 +262,14 @@ class TransferScheduler {
   /// Check the satellite invariant before releasing `index`: the footprint
   /// being released is the one admission charged.
   void verify_footprint(std::size_t index);
-  /// True when any live scheduled flow or (if snapshotting) background
-  /// traffic touches one of `cand` (sorted link ids).
+  /// True when any live scheduled flow or background traffic touches one of
+  /// `cand` (sorted link ids).
   [[nodiscard]] bool links_contended(std::span<const std::uint32_t> cand);
 
   PipelineEngine* engine_;
   model::PathConfigurator* configurator_;
   SchedulerOptions options_;
-  sim::FluidNetwork* net_ = nullptr;   ///< set iff observe_capacity
+  sim::FluidNetwork* net_;
   std::uint64_t capacity_listener_ = 0;
   std::vector<Ticket> live_;
   std::vector<Record> records_;

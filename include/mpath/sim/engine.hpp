@@ -18,7 +18,8 @@
 //     its frame, on an intrusive live list in spawn order, and frees itself
 //     when it finishes. Only a failure nobody has observed stays behind
 //     for run() to report. Roots started with launch() carry no join state
-//     at all; spawn() adds a pooled joinable ProcState.
+//     at all (gpusim starts one per busy stream, not one per op); spawn()
+//     adds a pooled joinable ProcState.
 // See DESIGN.md, "Solver complexity & event batching" and "Allocation &
 // pooling".
 #pragma once
@@ -65,7 +66,7 @@ class Latch {
   Latch(const Latch&) = delete;
   Latch& operator=(const Latch&) = delete;
 
-  // Latches are created per stream-op / transfer on the hot path; recycle
+  // Latches are created per flow / event record on the hot path; recycle
   // their storage through the simulator pool.
   static void* operator new(std::size_t n) { return detail::pool_alloc(n); }
   static void operator delete(void* p, std::size_t n) noexcept {

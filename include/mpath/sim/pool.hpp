@@ -1,6 +1,6 @@
 // Size-bucketed free-list recycler for hot-path heap objects: coroutine
 // frames (Task promises), latches, and the shared control blocks of
-// gpusim's per-op completion latches. Freed blocks are cached in
+// gpusim's event and synchronize latches. Freed blocks are cached in
 // thread-local buckets and handed back on the next same-size allocation, so
 // a steady-state workload stops calling the global allocator entirely after
 // its first few transfers warm the pools.

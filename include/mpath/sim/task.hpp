@@ -28,7 +28,8 @@ struct TaskPromiseBase {
   std::exception_ptr exception;
 
   // Coroutine frames are the dominant steady-state allocation (one per
-  // stream op / transfer); recycle them through the simulator pool.
+  // stream busy period / transfer); recycle them through the simulator
+  // pool.
   static void* operator new(std::size_t n) { return pool_alloc(n); }
   static void operator delete(void* p, std::size_t n) noexcept {
     pool_free(p, n);

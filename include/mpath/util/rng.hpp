@@ -18,10 +18,12 @@ class Rng {
     return d(gen_);
   }
 
-  /// Gaussian with given mean and standard deviation.
+  /// Gaussian with given mean and standard deviation. A standard normal
+  /// draw is scaled by hand, the same expression libstdc++ evaluates for a
+  /// (mean, stddev) distribution, so stddev 0 is allowed (it returns the
+  /// mean) and still advances the generator exactly as stddev > 0 does.
   double gaussian(double mean, double stddev) {
-    std::normal_distribution<double> d(mean, stddev);
-    return d(gen_);
+    return std::normal_distribution<double>{}(gen_) * stddev + mean;
   }
 
   /// Uniform integer in [lo, hi] inclusive.

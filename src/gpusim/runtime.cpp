@@ -25,14 +25,6 @@ bool CancelToken::was_cancelled(sim::FlowId id) const {
          cancelled_ids_.end();
 }
 
-namespace {
-/// Order-stable removal (SmallVec analogue of std::erase on a vector).
-void erase_flow(util::SmallVec<sim::FlowId, 4>& v, sim::FlowId id) {
-  const auto it = std::find(v.begin(), v.end(), id);
-  if (it != v.end()) v.erase(it);
-}
-}  // namespace
-
 GpuRuntime::GpuRuntime(const topo::System& system, sim::Engine& engine,
                        sim::FluidNetwork& network, std::uint64_t seed)
     : system_(&system),
@@ -43,9 +35,7 @@ GpuRuntime::GpuRuntime(const topo::System& system, sim::Engine& engine,
 
 StreamId GpuRuntime::create_stream(topo::DeviceId device) {
   MPATH_ASSERT_OWNER(owner_, "gpusim::GpuRuntime (create_stream)");
-  auto tail = sim::make_pooled<sim::Latch>(*engine_);
-  tail->fire();  // empty stream is drained
-  streams_.push_back(Stream{device, std::move(tail)});
+  streams_.push_back(Stream{device});
   return static_cast<StreamId>(streams_.size() - 1);
 }
 
@@ -84,98 +74,118 @@ bool GpuRuntime::event_fired(EventId event) const {
   return events_.at(event).latch->fired();
 }
 
-template <typename MakeOp>
-void GpuRuntime::enqueue(StreamId stream, MakeOp&& make_op) {
+void GpuRuntime::enqueue(StreamId stream, Op op) {
   MPATH_ASSERT_OWNER(owner_, "gpusim::GpuRuntime (stream enqueue)");
   Stream& s = streams_.at(stream);
-  auto done = sim::make_pooled<sim::Latch>(*engine_);
-  // Nobody joins a stream op (successors wait on its latch), so it starts
-  // without join state.
-  engine_->launch(make_op(s.tail, done), "gpusim-op");
-  s.tail = std::move(done);
+  const bool idle = s.queue.empty();
+  if (s.queue.size() == s.queue.capacity() && 2 * s.head >= s.queue.size()) {
+    // Full and at least half run: reuse the run slots instead of growing.
+    s.queue.erase(s.queue.begin(), s.queue.begin() + s.head);
+    s.head = 0;
+  }
+  s.queue.push_back(std::move(op));
+  if (idle) {
+    // Nobody joins a driver (synchronize waits on a latch), so it starts
+    // without join state.
+    engine_->launch(drive(s, stream), "gpusim-stream");
+  }
   ++ops_issued_;
   if (tracer_ != nullptr && --ops_until_sample_ == 0) {
     ops_until_sample_ = counter_stride_;
-    std::size_t busy = 0;
-    for (const Stream& st : streams_) {
-      if (!st.tail->fired()) ++busy;
-    }
+    const auto busy =
+        std::count_if(streams_.begin(), streams_.end(),
+                      [](const Stream& st) { return !st.queue.empty(); });
     tracer_->add_counter("gpusim", "streams_busy", engine_->now(),
                          static_cast<double>(busy));
   }
 }
 
-sim::Task<void> GpuRuntime::run_copy(std::shared_ptr<sim::Latch> prev,
-                                     std::shared_ptr<sim::Latch> done,
-                                     DeviceBuffer& dst, std::size_t dst_offset,
-                                     const DeviceBuffer& src,
-                                     std::size_t src_offset, std::size_t len,
-                                     StreamId stream, CancelTokenPtr token,
-                                     DoneHook on_done) {
-  co_await prev->wait();
-  if (token && token->cancelled()) {
-    if (on_done) on_done(false);
-    done->fire();  // drain without moving data or paying dispatch latency
-    co_return;
-  }
-  const double trace_start = engine_->now();
-  // Device-side dispatch latency for the copy engine.
-  co_await engine_->delay(costs().op_launch_s *
-                          rng_.jitter(costs().jitter_rel));
-  bool delivered = true;
-  if (len > 0) {
-    if (src.device() == dst.device()) {
-      co_await engine_->delay(static_cast<double>(len) /
-                              costs().local_copy_bps);
-    } else if (!token) {
-      co_await network_->transfer(
-          binding_.route_links(src.device(), dst.device()),
-          static_cast<double>(len));
+sim::Task<void> GpuRuntime::drive(Stream& s, StreamId stream) {
+  for (;;) {
+    // Enqueues may move the slot, so the op runs from a copy; the slot
+    // keeps the synchronize latch until the op completes.
+    Op op = std::move(s.queue[s.head]);
+    s.queue[s.head].synced = std::move(op.synced);
+    if (op.kind == Op::Kind::kRecord) {
+      co_await engine_->delay(costs().event_record_s *
+                              rng_.jitter(costs().jitter_rel));
+      op.event->fire();
+    } else if (op.kind == Op::Kind::kWait) {
+      co_await op.event->wait();
+      co_await engine_->delay(costs().event_wait_s *
+                              rng_.jitter(costs().jitter_rel));
+    } else if (op.kind == Op::Kind::kDelay) {
+      co_await engine_->delay(op.seconds);
+    } else if (op.token && op.token->cancelled()) {
+      // Cancelled before it started: drain with no dispatch latency.
+      if (op.on_done) op.on_done(false);
     } else {
-      // Cancellable variant of FluidNetwork::transfer: the flow id is
-      // registered with the token while the bytes stream so that
-      // token->cancel() can abort it mid-flight.
-      const sim::Route route = binding_.route_links(src.device(), dst.device());
-      double latency = 0.0;
-      for (sim::LinkId l : route) latency += network_->link(l).latency_s;
-      if (latency > 0.0) co_await engine_->delay(latency);
-      if (token->cancelled()) {
-        delivered = false;
-      } else {
-        auto latch = std::make_unique<sim::Latch>(*engine_);
-        sim::Latch* lp = latch.get();
-        const sim::FlowId fid = network_->start_flow(
-            route, static_cast<double>(len), latch.release());
-        token->in_flight_.push_back(fid);
-        co_await lp->wait();
-        erase_flow(token->in_flight_, fid);
-        delivered = !token->was_cancelled(fid);
+      const DeviceBuffer& src = *op.src;
+      DeviceBuffer& dst = *op.dst;
+      const double trace_start = engine_->now();
+      // Device-side dispatch latency for the copy engine.
+      co_await engine_->delay(costs().op_launch_s *
+                              rng_.jitter(costs().jitter_rel));
+      bool delivered = true;
+      if (op.len > 0) {
+        if (src.device() == dst.device()) {
+          co_await engine_->delay(static_cast<double>(op.len) /
+                                  costs().local_copy_bps);
+        } else {
+          // Same steps as FluidNetwork::transfer; the flow id is registered
+          // with the token, if any, so token->cancel() can abort it.
+          const sim::Route route =
+              binding_.route_links(src.device(), dst.device());
+          double latency = 0.0;
+          for (sim::LinkId l : route) latency += network_->link(l).latency_s;
+          if (latency > 0.0) co_await engine_->delay(latency);
+          if (op.token && op.token->cancelled()) {
+            delivered = false;
+          } else if (!route.empty()) {
+            auto* flow_done = new sim::Latch(*engine_);  // network-owned
+            const sim::FlowId fid = network_->start_flow(
+                route, static_cast<double>(op.len), flow_done);
+            if (op.token) op.token->in_flight_.push_back(fid);
+            co_await flow_done->wait();
+            if (op.token) {
+              auto& live = op.token->in_flight_;
+              const auto it = std::find(live.begin(), live.end(), fid);
+              if (it != live.end()) live.erase(it);
+              delivered = !op.token->was_cancelled(fid);
+            }
+          }
+        }
+        if (delivered) {
+          // Payload lands at completion time; simulated buffers carry none.
+          if (dst.materialized() && src.materialized()) {
+            std::memcpy(dst.region(op.dst_offset, op.len).data(),
+                        src.region(op.src_offset, op.len).data(), op.len);
+          }
+          bytes_copied_ += op.len;
+        }
       }
-    }
-    if (delivered) {
-      // Payload lands at completion time; simulated buffers carry none.
-      if (dst.materialized() && src.materialized()) {
-        std::memcpy(dst.region(dst_offset, len).data(),
-                    src.region(src_offset, len).data(), len);
+      if (tracer_ != nullptr) {
+        tracer_->add_span(
+            "stream" + std::to_string(stream) + " (" +
+                topology().device(s.device).name + ")",
+            std::string(delivered ? "copy " : "copy(cancelled) ") +
+                util::format_bytes(op.len) + " " +
+                topology().device(src.device()).name + "->" +
+                topology().device(dst.device()).name,
+            trace_start, engine_->now());
       }
-      bytes_copied_ += len;
+      if (op.on_done) op.on_done(delivered);
     }
+    if (const auto& synced = s.queue[s.head].synced) synced->fire();
+    if (++s.head == s.queue.size()) {
+      s.queue.clear();
+      s.head = 0;
+      co_return;
+    }
+    // One same-instant hop before the next op: the lane entry where the
+    // next op would wake on this op's completion.
+    co_await engine_->delay(0.0);
   }
-  if (tracer_ != nullptr) {
-    tracer_->add_span(stream_track(stream),
-                      std::string(delivered ? "copy " : "copy(cancelled) ") +
-                          util::format_bytes(len) + " " +
-                          topology().device(src.device()).name + "->" +
-                          topology().device(dst.device()).name,
-                      trace_start, engine_->now());
-  }
-  if (on_done) on_done(delivered);
-  done->fire();
-}
-
-std::string GpuRuntime::stream_track(StreamId stream) const {
-  return "stream" + std::to_string(stream) + " (" +
-         topology().device(streams_.at(stream).device).name + ")";
 }
 
 void GpuRuntime::memcpy_async(DeviceBuffer& dst, std::size_t dst_offset,
@@ -186,67 +196,39 @@ void GpuRuntime::memcpy_async(DeviceBuffer& dst, std::size_t dst_offset,
   // some later simulated instant.
   dst.check_region(dst_offset, len);
   src.check_region(src_offset, len);
-  enqueue(stream, [&, dst_offset, src_offset, len, stream](
-                      std::shared_ptr<sim::Latch> prev,
-                      std::shared_ptr<sim::Latch> done) {
-    return run_copy(std::move(prev), std::move(done), dst, dst_offset, src,
-                    src_offset, len, stream, std::move(token),
-                    std::move(on_done));
-  });
+  enqueue(stream, Op{.kind = Op::Kind::kCopy, .dst = &dst, .src = &src,
+                     .dst_offset = dst_offset, .src_offset = src_offset,
+                     .len = len, .token = std::move(token),
+                     .on_done = std::move(on_done)});
 }
 
 void GpuRuntime::record_event(EventId event, StreamId stream) {
   auto recorded = sim::make_pooled<sim::Latch>(*engine_);
   events_.at(event).latch = recorded;
-  enqueue(stream, [this, recorded](std::shared_ptr<sim::Latch> prev,
-                                   std::shared_ptr<sim::Latch> done)
-                      -> sim::Task<void> {
-    return [](GpuRuntime* rt, std::shared_ptr<sim::Latch> p,
-              std::shared_ptr<sim::Latch> rec,
-              std::shared_ptr<sim::Latch> d) -> sim::Task<void> {
-      co_await p->wait();
-      co_await rt->engine_->delay(rt->costs().event_record_s *
-                                  rt->rng_.jitter(rt->costs().jitter_rel));
-      rec->fire();
-      d->fire();
-    }(this, std::move(prev), recorded, std::move(done));
-  });
+  enqueue(stream, Op{.kind = Op::Kind::kRecord, .event = std::move(recorded)});
 }
 
 void GpuRuntime::wait_event(StreamId stream, EventId event) {
   // CUDA captures the event state at enqueue time.
-  auto latch = events_.at(event).latch;
-  enqueue(stream, [this, latch](std::shared_ptr<sim::Latch> prev,
-                                std::shared_ptr<sim::Latch> done)
-                      -> sim::Task<void> {
-    return [](GpuRuntime* rt, std::shared_ptr<sim::Latch> p,
-              std::shared_ptr<sim::Latch> ev,
-              std::shared_ptr<sim::Latch> d) -> sim::Task<void> {
-      co_await p->wait();
-      co_await ev->wait();
-      co_await rt->engine_->delay(rt->costs().event_wait_s *
-                                  rt->rng_.jitter(rt->costs().jitter_rel));
-      d->fire();
-    }(this, std::move(prev), std::move(latch), std::move(done));
-  });
+  enqueue(stream,
+          Op{.kind = Op::Kind::kWait, .event = events_.at(event).latch});
 }
 
 void GpuRuntime::stream_delay(StreamId stream, double seconds) {
-  enqueue(stream, [this, seconds](std::shared_ptr<sim::Latch> prev,
-                                  std::shared_ptr<sim::Latch> done)
-                      -> sim::Task<void> {
-    return [](GpuRuntime* rt, double dt, std::shared_ptr<sim::Latch> p,
-              std::shared_ptr<sim::Latch> d) -> sim::Task<void> {
-      co_await p->wait();
-      co_await rt->engine_->delay(dt);
-      d->fire();
-    }(this, seconds, std::move(prev), std::move(done));
-  });
+  enqueue(stream, Op{.kind = Op::Kind::kDelay, .seconds = seconds});
+}
+
+std::shared_ptr<sim::Latch> GpuRuntime::sync_point(Stream& s) {
+  Op& last = s.queue.back();
+  if (!last.synced) last.synced = sim::make_pooled<sim::Latch>(*engine_);
+  return last.synced;
 }
 
 sim::Task<void> GpuRuntime::synchronize(StreamId stream) {
-  auto tail = streams_.at(stream).tail;
-  co_await tail->wait();
+  Stream& s = streams_.at(stream);
+  if (s.queue.empty()) co_return;
+  const auto done = sync_point(s);
+  co_await done->wait();
 }
 
 sim::Task<void> GpuRuntime::synchronize_event(EventId event) {
@@ -255,11 +237,12 @@ sim::Task<void> GpuRuntime::synchronize_event(EventId event) {
 }
 
 sim::Task<void> GpuRuntime::device_synchronize() {
-  // Snapshot tails first: ops enqueued after this call are not covered.
-  std::vector<std::shared_ptr<sim::Latch>> tails;
-  tails.reserve(streams_.size());
-  for (const Stream& s : streams_) tails.push_back(s.tail);
-  for (auto& t : tails) co_await t->wait();
+  // Snapshot first: ops enqueued after this call are not covered.
+  std::vector<std::shared_ptr<sim::Latch>> points;
+  for (Stream& s : streams_) {
+    if (!s.queue.empty()) points.push_back(sync_point(s));
+  }
+  for (auto& p : points) co_await p->wait();
 }
 
 sim::Task<void> GpuRuntime::ipc_open(topo::DeviceId opener,

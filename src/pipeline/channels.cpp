@@ -17,6 +17,10 @@ namespace mpath::pipeline {
 namespace {
 using PlanClock = std::chrono::steady_clock;
 
+/// Watchdog deadline floor, so noise on tiny shares cannot trip a healthy
+/// path.
+constexpr double kMinDeadlineS = 1e-3;
+
 /// Nanoseconds since `t0`, for GraphUseStats::plan_ns sections. Callers
 /// must never let a section span a co_await: suspended wall time belongs
 /// to other coroutines and the event loop, not to this transfer's planner.
@@ -484,8 +488,7 @@ sim::Task<void> ModelDrivenChannel::transfer_with_recovery(
           use_health ? health_.slack_multiplier(sdev, ddev, share.plan) : 1.0;
       watch.push_back(PathWatch{
           share.bytes > 0
-              ? std::max(rec.min_deadline_s,
-                         slack * mult * share.predicted_time)
+              ? std::max(kMinDeadlineS, slack * mult * share.predicted_time)
               : 0.0});
     }
     // Probe slices: paths on probation ride along with a small cut of the
@@ -506,8 +509,7 @@ sim::Task<void> ModelDrivenChannel::transfer_with_recovery(
         const double mult = health_.slack_multiplier(sdev, ddev, pp);
         plan.push_back(ExecPath{pp, pb, probe_cfg.paths[0].chunks});
         watch.push_back(PathWatch{
-            std::max(rec.min_deadline_s,
-                     slack * mult * probe_cfg.predicted_time)});
+            std::max(kMinDeadlineS, slack * mult * probe_cfg.predicted_time)});
         probes_issued.push_back(pp);
         health_.on_probe_issued(sdev, ddev, pp);
       }

@@ -10,27 +10,26 @@ namespace mpath::pipeline {
 TransferScheduler::TransferScheduler(PipelineEngine& engine,
                                      model::PathConfigurator& configurator,
                                      SchedulerOptions options)
-    : engine_(&engine), configurator_(&configurator), options_(options) {
-  if (options_.observe_capacity) {
-    net_ = &engine_->runtime().binding().network();
-    // Close the residue-integration window at the instant of every
-    // capacity change, while the *old* rates still hold (the network
-    // notifies pre-mutation): the elapsed window integrates at the
-    // capacities that governed it, and the very next plan or query
-    // water-fills against the new ones. Fixes the restore blind spot where
-    // snapshot_links() only saw post-restore capacity retroactively.
-    capacity_listener_ = net_->add_capacity_listener(
-        [this](sim::LinkId, double, double) {
-          integrate_to(engine_->runtime().engine().now());
-          ++stats_.capacity_events;
-        });
-  }
+    : engine_(&engine),
+      configurator_(&configurator),
+      options_(options),
+      net_(&engine_->runtime().binding().network()) {
+  // Close the residue-integration window at the instant of every capacity
+  // change, while the *old* rates still hold (the network notifies
+  // pre-mutation): the elapsed window integrates at the capacities that
+  // governed it, and the very next plan or query water-fills against the
+  // new ones. Without it a restore mid-transfer would be applied
+  // retroactively across the whole window at the next admission. Fault-free
+  // runs never fire it.
+  capacity_listener_ = net_->add_capacity_listener(
+      [this](sim::LinkId, double, double) {
+        integrate_to(engine_->runtime().engine().now());
+        ++stats_.capacity_events;
+      });
 }
 
 TransferScheduler::~TransferScheduler() {
-  if (net_ != nullptr && capacity_listener_ != 0) {
-    net_->remove_capacity_listener(capacity_listener_);
-  }
+  net_->remove_capacity_listener(capacity_listener_);
 }
 
 util::SmallVec<std::uint32_t, 4> TransferScheduler::plan_links(
@@ -64,9 +63,7 @@ std::vector<model::JointLink> TransferScheduler::snapshot_links() {
     // (per-chunk flows are attributed to their owning path, not double
     // counted) is background traffic that still takes max-min shares.
     links[l].background_flows =
-        options_.network_snapshot
-            ? std::max(0.0, net.link_flow_weight(l) - own[l])
-            : 0.0;
+        std::max(0.0, net.link_flow_weight(l) - own[l]);
   }
   return links;
 }
@@ -393,11 +390,9 @@ bool TransferScheduler::links_contended(std::span<const std::uint32_t> cand) {
       }
     }
   }
-  if (options_.network_snapshot) {
-    const auto links = snapshot_links();
-    for (std::uint32_t l : cand) {
-      if (links[l].background_flows > 0.0) return true;
-    }
+  const auto links = snapshot_links();
+  for (std::uint32_t l : cand) {
+    if (links[l].background_flows > 0.0) return true;
   }
   return false;
 }
@@ -529,14 +524,12 @@ std::vector<TransferScheduler::TicketId> TransferScheduler::admit_chain(
 
   if (options_.joint) {
     const auto links = snapshot_links();
-    if (options_.network_snapshot) {
-      for (std::uint32_t l : round_links) {
-        if (links[l].background_flows > 0.0) {
-          // Unscheduled traffic shares a round link: its max-min share is
-          // not ours to bound, so the compiled splits are not guaranteed.
-          ++stats_.chain_round_rejects;
-          return {};
-        }
+    for (std::uint32_t l : round_links) {
+      if (links[l].background_flows > 0.0) {
+        // Unscheduled traffic shares a round link: its max-min share is
+        // not ours to bound, so the compiled splits are not guaranteed.
+        ++stats_.chain_round_rejects;
+        return {};
       }
     }
     // ONE water-fill answers the whole round: the round's carrying paths

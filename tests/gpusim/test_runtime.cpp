@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "mpath/topo/system.hpp"
 #include "mpath/util/units.hpp"
 
@@ -282,4 +284,186 @@ TEST(GpuRuntime, ReacquiredEventRearmsAtRecord) {
   f.engine.run();
   EXPECT_TRUE(c.same_content(d));
   f.rt.release_event(ev2);
+}
+
+// -- stream contract ---------------------------------------------------------
+
+TEST(GpuRuntime, SynchronizeIgnoresOpsEnqueuedAfterTheCall) {
+  CleanFixture f;
+  mg::DeviceBuffer src(f.gpus[0], 1_MiB), dst(f.gpus[1], 1_MiB);
+  const auto s = f.rt.create_stream(f.gpus[0]);
+  f.rt.memcpy_async(dst, 0, src, 0, 1_MiB, s);
+  double synced = -1, second_done = -1;
+  f.engine.spawn([](mg::GpuRuntime& rt, mg::StreamId st,
+                    double& out) -> ms::Task<void> {
+    co_await rt.synchronize(st);
+    out = rt.engine().now();
+  }(f.rt, s, synced));
+  // Starts after the waiter above, so this copy is enqueued after the
+  // synchronize call.
+  f.engine.spawn([](mg::GpuRuntime& rt, mg::StreamId st, mg::DeviceBuffer& d,
+                    const mg::DeviceBuffer& sr,
+                    double& out) -> ms::Task<void> {
+    rt.memcpy_async(d, 0, sr, 0, 1_MiB, st, nullptr,
+                    [&rt, &out](bool) { out = rt.engine().now(); });
+    co_return;
+  }(f.rt, s, dst, src, second_done));
+  f.engine.run();
+  const double one_copy = 1e-6 + static_cast<double>(1_MiB) / gbps(46);
+  EXPECT_NEAR(synced, one_copy, 1e-9);
+  EXPECT_NEAR(second_done, 2 * one_copy, 1e-9);
+}
+
+TEST(GpuRuntime, CancelDrainsQueuedGovernedCopiesThenRunsNextOp) {
+  auto sys = mt::make_beluga();
+  sys.costs.jitter_rel = 0;  // dispatch latency on, but exact
+  ms::Engine engine;
+  ms::FluidNetwork net(engine);
+  mg::GpuRuntime rt(sys, engine, net);
+  const auto gpus = sys.topology.gpus();
+  mg::DeviceBuffer src(gpus[0], 46_MiB), dst(gpus[1], 46_MiB);
+  const auto s = rt.create_stream(gpus[0]);
+  const auto token = rt.make_cancel_token();
+  struct Done {
+    double at = -1;
+    bool delivered = true;
+  };
+  std::vector<Done> done(4);
+  auto hook = [&engine](Done& d) {
+    return [&engine, &d](bool delivered) {
+      d = Done{engine.now(), delivered};
+    };
+  };
+  for (int i = 0; i < 3; ++i) {
+    rt.memcpy_async(dst, 0, src, 0, 46_MiB, s, token, hook(done[i]));
+  }
+  rt.memcpy_async(dst, 0, src, 0, 64, s, nullptr, hook(done[3]));
+  constexpr double kCancelAt = 0.5e-3;  // mid-way through the first copy
+  engine.schedule_callback(kCancelAt, [&token] { token->cancel(); });
+  engine.run();
+  EXPECT_EQ(token->flows_cancelled(), 1u);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_FALSE(done[i].delivered) << i;
+    // Queued governed copies drain at the cancel instant: no dispatch
+    // latency, no wire time.
+    EXPECT_EQ(done[i].at, kCancelAt) << i;
+  }
+  EXPECT_TRUE(done[3].delivered);
+  const double small_copy =
+      sys.costs.op_launch_s + 1e-6 + 64.0 / gbps(46);
+  EXPECT_NEAR(done[3].at, kCancelAt + small_copy, 1e-9);
+  EXPECT_EQ(rt.bytes_copied(), 64u);
+}
+
+TEST(GpuRuntime, IdleStreamsLeaveNoLiveProcess) {
+  CleanFixture f;
+  mg::DeviceBuffer a(f.gpus[0], 64), b(f.gpus[1], 64);
+  const auto s0 = f.rt.create_stream(f.gpus[0]);
+  const auto s1 = f.rt.create_stream(f.gpus[1]);
+  (void)f.rt.create_stream(f.gpus[2]);  // never used
+  const auto ev = f.rt.create_event();
+  f.rt.memcpy_async(b, 0, a, 0, 64, s0);
+  f.rt.record_event(ev, s0);
+  f.rt.wait_event(s1, ev);
+  f.rt.stream_delay(s1, 1e-6);
+  EXPECT_NO_THROW(f.engine.run());
+  EXPECT_EQ(f.engine.live_process_count(), 0u);
+  // A drained stream takes new work and drains again.
+  f.rt.memcpy_async(a, 0, b, 0, 64, s1);
+  EXPECT_NO_THROW(f.engine.run());
+  EXPECT_EQ(f.engine.live_process_count(), 0u);
+  EXPECT_EQ(f.rt.ops_issued(), 5u);
+}
+
+// Order pin: four Beluga streams in a ring of copy/record/wait with the
+// default jitter. Every op draws its jitter when it starts, in start order,
+// so each completion instant and the next RNG draw pin where every op
+// starts in the engine's same-instant lane.
+TEST(GpuRuntime, RingOfStreamsPinsOpOrder) {
+  const auto sys = mt::make_beluga();
+  ms::Engine engine;
+  ms::FluidNetwork net(engine);
+  mg::GpuRuntime rt(sys, engine, net, /*seed=*/42);
+  const auto gpus = sys.topology.gpus();
+  ASSERT_EQ(gpus.size(), 4u);
+  std::vector<mg::DeviceBuffer> bufs;
+  std::vector<mg::StreamId> streams;
+  for (const auto g : gpus) {
+    bufs.emplace_back(g, 2_MiB);
+    streams.push_back(rt.create_stream(g));
+  }
+  std::vector<double> at;
+  // Each round: a copy on every stream (they run concurrently), an event
+  // record behind each, and each stream's successor waits on it. Copies
+  // are observed by their done hook, records by a waiter on the event.
+  auto issue_round = [&](int round) {
+    for (std::size_t i = 0; i < 4; ++i) {
+      at.push_back(-1);
+      rt.memcpy_async(bufs[(i + 1) % 4], 0, bufs[i], 0, 256_KiB << round,
+                      streams[i], nullptr,
+                      [&engine, &at, k = at.size() - 1](bool) {
+                        at[k] = engine.now();
+                      });
+    }
+    std::vector<mg::EventId> evs;
+    for (std::size_t i = 0; i < 4; ++i) {
+      evs.push_back(rt.acquire_event());
+      rt.record_event(evs[i], streams[i]);
+      at.push_back(-1);
+      engine.spawn([](mg::GpuRuntime& r, mg::EventId e, std::vector<double>& v,
+                      std::size_t k) -> ms::Task<void> {
+        co_await r.synchronize_event(e);
+        v[k] = r.engine().now();
+      }(rt, evs[i], at, at.size() - 1));
+    }
+    for (std::size_t i = 0; i < 4; ++i) {
+      rt.wait_event(streams[(i + 1) % 4], evs[i]);
+    }
+  };
+  issue_round(0);
+  issue_round(1);
+  // A third round issued from the simulation while the ring is still
+  // busy, then a fourth once it has drained.
+  engine.spawn([](ms::Engine& e, auto& issue) -> ms::Task<void> {
+    co_await e.delay(20e-6);
+    issue(2);
+    co_await e.delay(1e-3);
+    issue(3);
+  }(engine, issue_round));
+  engine.run();
+  EXPECT_EQ(engine.live_process_count(), 0u);
+  // Captured from the earlier one-coroutine-per-op implementation; they
+  // must not move.
+  const std::vector<double> want = {
+      // round 0 copies
+      0x1.0952b212fdc06p-17, 0x1.08ced945e9f27p-17,
+      0x1.08457c80899cep-17, 0x1.08bf624a00355p-17,
+      // round 0 records
+      0x1.13533c234a421p-17, 0x1.12d78bde45a48p-17,
+      0x1.1256da84e6545p-17, 0x1.12eb5d07fd804p-17,
+      // round 1 copies
+      0x1.7b06c995527fcp-16, 0x1.7af83e1283cacp-16,
+      0x1.7abed74ff7ce6p-16, 0x1.7ad2c2e3537bbp-16,
+      // round 1 records
+      0x1.8004320681c2fp-16, 0x1.7ff540e5b2dbap-16,
+      0x1.7fcd9723ef0fbp-16, 0x1.7fbc2e989712cp-16,
+      // round 2 copies
+      0x1.988550c51fc5bp-15, 0x1.9868da35f6546p-15,
+      0x1.988e3393aa133p-15, 0x1.97eb7214fe378p-15,
+      // round 2 records
+      0x1.9b10e9cb70d78p-15, 0x1.9af088c77b9ccp-15,
+      0x1.9b16a41fed817p-15, 0x1.9a752dda0c45ep-15,
+      // round 3 copies
+      0x1.17ec1bfdeea8bp-10, 0x1.17ea0ece62a36p-10,
+      0x1.17eabfcdefa25p-10, 0x1.17eaba10b6732p-10,
+      // round 3 records
+      0x1.18000a26b4553p-10, 0x1.17fe04f78ff76p-10,
+      0x1.17febf2354bf1p-10, 0x1.17fea57c590bfp-10,
+  };
+  ASSERT_EQ(at.size(), want.size());
+  for (std::size_t k = 0; k < want.size(); ++k) {
+    EXPECT_EQ(at[k], want[k]) << "op " << k << ": " << std::hexfloat << at[k];
+  }
+  const double draw = rt.rng().uniform(0, 1);
+  EXPECT_EQ(draw, 0x1.aa1fddf69cc72p-1) << std::hexfloat << draw;
 }
